@@ -238,6 +238,55 @@ fn chain_fingerprint(g: &parsdd_graph::Graph, rhs_seed: u64) -> Vec<u64> {
     fp
 }
 
+/// FNV-1a over the words of a fingerprint: one `u64` that changes when
+/// any pinned bit does.
+fn fnv1a(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// [`chain_fingerprint`] plus the bits of a full default-chain solve
+/// (iterations, final residual, iterate).
+fn golden_fingerprint(g: &parsdd_graph::Graph) -> Vec<u64> {
+    use parsdd_solver::chain::{build_chain, ChainOptions};
+    let mut fp = chain_fingerprint(g, 5);
+    let chain = build_chain(g, &ChainOptions::default());
+    let mut b: Vec<f64> = (0..g.n())
+        .map(|i| (((i as u64).wrapping_mul(19) % 31) as f64) - 15.0)
+        .collect();
+    let mean = b.iter().sum::<f64>() / g.n() as f64;
+    b.iter_mut().for_each(|v| *v -= mean);
+    let out = chain.solve(&b, 1e-8, 300);
+    fp.push(out.iterations as u64);
+    fp.push(out.relative_residual.to_bits());
+    fp.extend(out.x.iter().map(|v| v.to_bits()));
+    fp
+}
+
+/// Golden pin of the default f64 chain: structure, calibrated Chebyshev
+/// bounds, inner iterations, one preconditioner application and one full
+/// solve, hashed bit for bit on a weighted grid and the small rmat zoo
+/// graph. The other determinism tests compare two runs of the same code;
+/// this one compares against constants, so a change to the f64 arithmetic
+/// anywhere in the chain fails here even when it is width-invariant.
+#[test]
+fn golden_f64_chain_bits_are_pinned() {
+    let grid = parsdd_graph::generators::grid2d(40, 40, |x, y| 1.0 + ((x * 3 + y) % 5) as f64);
+    let rmat = parsdd_bench::zoo::build("rmat", parsdd_bench::zoo::Tier::Small);
+    let got = [
+        fnv1a(&golden_fingerprint(&grid)),
+        fnv1a(&golden_fingerprint(&rmat)),
+    ];
+    assert_eq!(
+        got,
+        [0x2485_b327_79f0_f8db, 0x2eaf_24b7_a8e8_3594],
+        "f64 chain bits moved: {got:#018x?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
