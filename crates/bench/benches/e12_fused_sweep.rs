@@ -11,10 +11,11 @@
 //!   never materialised (the kernel the chain's W-cycle actually runs).
 //!
 //! Also reports the fused `A·p` + `pᵀAp` kernel of the top-level PCG
-//! against the unfused apply-then-dot pair, and the f32 storage tier's
-//! variants of both fused kernels (`fused_f32`, `fused_apply_dot_f32`) —
-//! the per-kernel view of the precision knob's bandwidth saving (8 vs 12
-//! bytes per matrix entry, f32 direction block in the sweep).
+//! (`fused_apply_dot`, always f64) against the unfused apply-then-dot
+//! pair, and the same fused sweep instantiated at f32
+//! (`PermutedLevel<f32>`, `fused_f32`) — the per-kernel view of the
+//! precision knob's bandwidth saving (8 vs 12 bytes per matrix entry, and
+//! f32 vectors).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -22,7 +23,7 @@ use std::hint::black_box;
 use parsdd_graph::reorder::{rcm_order, relabel};
 use parsdd_graph::Graph;
 use parsdd_linalg::laplacian::laplacian_apply_rowmajor;
-use parsdd_linalg::permuted::{PermutedLevel, PermutedLevelF32};
+use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::vector::{axpy, colwise_dots_rm};
 
 fn workload(side: usize) -> (Graph, PermutedLevel, Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -74,11 +75,12 @@ fn bench_sweeps(c: &mut Criterion) {
                 black_box(r[0]);
             });
         });
-        let m32 = PermutedLevelF32::from_level(&m);
-        let p32: Vec<f32> = p.iter().map(|&v| v as f32).collect();
+        let m32: PermutedLevel<f32> = m.clone().into_scaled(1.0);
+        let narrow = |v: &[f64]| -> Vec<f32> { v.iter().map(|&x| x as f32).collect() };
+        let p32 = narrow(&p);
         group.bench_with_input(BenchmarkId::new("fused_f32", side), &side, |b, _| {
-            let mut x = x0.clone();
-            let mut r = r0.clone();
+            let mut x = narrow(&x0);
+            let mut r = narrow(&r0);
             b.iter(|| {
                 m32.cheb_fused_sweep(alpha, &p32, &mut x, &mut r, 1);
                 black_box(r[0]);
@@ -94,20 +96,12 @@ fn bench_sweeps(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("fused_apply_dot", side), &side, |b, _| {
             let mut ap = vec![0.0f64; n];
+            let (mut dots, mut partial) = (Vec::new(), Vec::new());
             b.iter(|| {
-                black_box(m.fused_apply_dot(&p, &mut ap, 1)[0]);
+                m.fused_apply_dot_into(&p, &mut ap, 1, &mut dots, &mut partial);
+                black_box(dots[0]);
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("fused_apply_dot_f32", side),
-            &side,
-            |b, _| {
-                let mut ap = vec![0.0f64; n];
-                b.iter(|| {
-                    black_box(m32.fused_apply_dot(&p, &mut ap, 1)[0]);
-                });
-            },
-        );
 
         eprintln!(
             "e12 side={side}: n={n} m={} merged stream {} bytes (f32 tier {}) vs \

@@ -18,14 +18,22 @@
 //! zero (null directions get solution coordinate 0), callers project the
 //! right-hand side onto the range. A full profile degrades gracefully to
 //! exactly the dense factorisation.
+//!
+//! The factorisation always runs in f64 ([`EnvelopeLdl::from_graph`]);
+//! the finished factor can be re-stored at `f32`
+//! ([`EnvelopeLdl::into_scaled`]), which halves the bytes each solve
+//! streams. The triangular solves are written once, generic over the
+//! storage [`Scalar`], and run entirely at that width.
 
 use crate::block::MultiVector;
 use crate::operator::LinearOperator;
+use crate::scalar::Scalar;
 use parsdd_graph::Graph;
 
-/// An envelope (skyline) LDLᵀ factorisation of a graph Laplacian.
+/// An envelope (skyline) LDLᵀ factorisation of a graph Laplacian, with
+/// factor entries stored at width `S`.
 #[derive(Debug, Clone)]
-pub struct EnvelopeLdl {
+pub struct EnvelopeLdl<S: Scalar = f64> {
     n: usize,
     /// First stored column of each row (`first[i] ≤ i`); row `i` of `L`
     /// occupies columns `[first[i], i)`.
@@ -34,9 +42,9 @@ pub struct EnvelopeLdl {
     /// `l[offsets[i]..offsets[i+1]]` (length `i − first[i]`).
     offsets: Vec<usize>,
     /// Packed strictly-lower rows of the unit lower-triangular factor.
-    l: Vec<f64>,
+    l: Vec<S>,
     /// Diagonal factor; zeros mark numerically null directions.
-    d: Vec<f64>,
+    d: Vec<S>,
 }
 
 impl EnvelopeLdl {
@@ -114,6 +122,34 @@ impl EnvelopeLdl {
         }
     }
 
+    /// The same factor stored at width `S`, as the factor of `scale · A`:
+    /// the unit lower triangle is scale-free, the diagonal is multiplied
+    /// by `scale` (a power of two from the solver chain, so exact). Zero
+    /// pivots stay exactly zero. At `S = f64` with `scale = 1` the storage
+    /// moves over unchanged.
+    pub fn into_scaled<S: Scalar>(self, scale: f64) -> EnvelopeLdl<S> {
+        let mut d = self.d;
+        if scale != 1.0 {
+            d.iter_mut().for_each(|v| *v *= scale);
+        }
+        EnvelopeLdl {
+            n: self.n,
+            first: self.first,
+            offsets: self.offsets,
+            l: S::from_f64_vec(self.l),
+            d: S::from_f64_vec(d),
+        }
+    }
+
+    /// Column-major blocked solve (transposes at the boundary; the chain
+    /// itself calls [`solve_rowmajor`](Self::solve_rowmajor) directly).
+    pub fn solve_block(&self, b: &MultiVector) -> MultiVector {
+        assert_eq!(b.nrows(), self.n);
+        MultiVector::from_rowmajor(&self.solve_rowmajor(&b.to_rowmajor(), b.ncols()), b.ncols())
+    }
+}
+
+impl<S: Scalar> EnvelopeLdl<S> {
     /// Dimension of the factored system.
     pub fn dim(&self) -> usize {
         self.n
@@ -121,7 +157,7 @@ impl EnvelopeLdl {
 
     /// Number of zero pivots (dimension of the detected null space).
     pub fn null_dim(&self) -> usize {
-        self.d.iter().filter(|&&d| d == 0.0).count()
+        self.d.iter().filter(|&&d| d == S::ZERO).count()
     }
 
     /// Stored strictly-lower entries (the envelope size). Each solve
@@ -136,14 +172,19 @@ impl EnvelopeLdl {
     pub fn resident_bytes(&self) -> usize {
         self.first.len() * std::mem::size_of::<u32>()
             + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.l.len() * std::mem::size_of::<f64>()
-            + self.d.len() * std::mem::size_of::<f64>()
+            + (self.l.len() + self.d.len()) * std::mem::size_of::<S>()
+    }
+
+    /// Factor bytes one solve streams: the packed lower triangle twice
+    /// (forward and backward pass) plus the diagonal once.
+    pub fn stream_bytes(&self) -> usize {
+        (2 * self.l.len() + self.d.len()) * std::mem::size_of::<S>()
     }
 
     /// Solves `A x = b` (particular solution when `A` is singular and `b`
     /// is in the range) — the `k = 1` case of
     /// [`solve_rowmajor`](Self::solve_rowmajor).
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+    pub fn solve(&self, b: &[S]) -> Vec<S> {
         self.solve_rowmajor(b, 1)
     }
 
@@ -152,7 +193,7 @@ impl EnvelopeLdl {
     /// the operation order is identical at every `k` (each column's
     /// arithmetic is the `k = 1` solve), so batched solves are bitwise
     /// identical to looped single solves.
-    pub fn solve_rowmajor(&self, b: &[f64], k: usize) -> Vec<f64> {
+    pub fn solve_rowmajor(&self, b: &[S], k: usize) -> Vec<S> {
         let mut z = Vec::new();
         self.solve_rowmajor_into(b, k, &mut z);
         z
@@ -162,7 +203,7 @@ impl EnvelopeLdl {
     /// output buffer. For the monomorphised widths (`k ∈ {1, 2, 4, 8, 16,
     /// 32}`) this performs no heap allocation once `out` has capacity
     /// `n·k`; identical arithmetic at every width.
-    pub fn solve_rowmajor_into(&self, b: &[f64], k: usize, out: &mut Vec<f64>) {
+    pub fn solve_rowmajor_into(&self, b: &[S], k: usize, out: &mut Vec<S>) {
         assert_eq!(b.len(), self.n * k);
         out.clear();
         out.extend_from_slice(b);
@@ -187,7 +228,7 @@ impl EnvelopeLdl {
     /// the packed row), diagonal scale, backward `Lᵀ X = Z` in scatter
     /// form (row `i`, once final, updates rows `first[i]..i` along the
     /// same packed row — both passes stream the envelope contiguously).
-    fn tri_solve<const K: usize>(&self, zr: &mut [f64]) {
+    fn tri_solve<const K: usize>(&self, zr: &mut [S]) {
         let n = self.n;
         for i in 0..n {
             let fi = self.first[i] as usize;
@@ -195,24 +236,16 @@ impl EnvelopeLdl {
                 continue;
             }
             let (head, tail) = zr.split_at_mut(i * K);
-            let acc_row: &mut [f64] = &mut tail[..K];
-            let mut acc = [0.0f64; K];
+            let acc_row: &mut [S] = &mut tail[..K];
+            let mut acc = [S::ZERO; K];
             acc.copy_from_slice(acc_row);
             let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * K..].chunks_exact(K).zip(lrow) {
-                for jj in 0..K {
-                    acc[jj] -= lij * row[jj];
-                }
-            }
+            S::sub_row_dot(&mut acc, lrow, &head[fi * K..]);
             acc_row.copy_from_slice(&acc);
         }
         for (row, &di) in zr.chunks_exact_mut(K).zip(&self.d) {
             for v in row {
-                if di == 0.0 {
-                    *v = 0.0;
-                } else {
-                    *v /= di;
-                }
+                *v = Self::pivot(*v, di);
             }
         }
         for i in (0..n).rev() {
@@ -221,7 +254,7 @@ impl EnvelopeLdl {
                 continue;
             }
             let (head, tail) = zr.split_at_mut(i * K);
-            let mut xi = [0.0f64; K];
+            let mut xi = [S::ZERO; K];
             xi.copy_from_slice(&tail[..K]);
             let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
             for (row, &lij) in head[fi * K..].chunks_exact_mut(K).zip(lrow) {
@@ -234,29 +267,20 @@ impl EnvelopeLdl {
 
     /// Fallback for block widths outside the monomorphised set; same
     /// operation order per column.
-    fn tri_solve_generic(&self, zr: &mut [f64], k: usize) {
+    fn tri_solve_generic(&self, zr: &mut [S], k: usize) {
         let n = self.n;
         for i in 0..n {
             let fi = self.first[i] as usize;
             let (head, tail) = zr.split_at_mut(i * k);
-            let acc = &mut tail[..k];
             let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * k..].chunks_exact(k).zip(lrow) {
-                for (a, &zj) in acc.iter_mut().zip(row) {
-                    *a -= lij * zj;
-                }
-            }
+            S::sub_row_dot(&mut tail[..k], lrow, &head[fi * k..]);
         }
         for (row, &di) in zr.chunks_exact_mut(k).zip(&self.d) {
             for v in row {
-                if di == 0.0 {
-                    *v = 0.0;
-                } else {
-                    *v /= di;
-                }
+                *v = Self::pivot(*v, di);
             }
         }
-        let mut xi = vec![0.0f64; k];
+        let mut xi = vec![S::ZERO; k];
         for i in (0..n).rev() {
             let fi = self.first[i] as usize;
             if fi == i {
@@ -273,11 +297,15 @@ impl EnvelopeLdl {
         }
     }
 
-    /// Column-major blocked solve (transposes at the boundary; the chain
-    /// itself calls [`solve_rowmajor`](Self::solve_rowmajor) directly).
-    pub fn solve_block(&self, b: &MultiVector) -> MultiVector {
-        assert_eq!(b.nrows(), self.n);
-        MultiVector::from_rowmajor(&self.solve_rowmajor(&b.to_rowmajor(), b.ncols()), b.ncols())
+    /// The diagonal pass: a zero pivot marks a null direction and zeroes
+    /// its coordinate.
+    #[inline(always)]
+    fn pivot(v: S, d: S) -> S {
+        if d == S::ZERO {
+            S::ZERO
+        } else {
+            v / d
+        }
     }
 }
 
@@ -290,417 +318,6 @@ impl LinearOperator for EnvelopeLdl {
     /// for plugging the bottom into generic iterative drivers).
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         y.copy_from_slice(&self.solve(x));
-    }
-}
-
-/// The f32 storage tier of [`EnvelopeLdl`]: the packed strictly-lower
-/// factor rows are stored as `f32` (each solve streams half the envelope
-/// bytes), while the diagonal is kept as a precomputed f64 *reciprocal* —
-/// it is only `n` entries (no bandwidth to save), and storing `1/d`
-/// turns the pivot pass into a branch-free multiply (a zero reciprocal
-/// marks a null direction and zeroes its coordinate exactly like the f64
-/// tier's branch).
-///
-/// Built only by **demotion** from a completed f64 factorisation
-/// ([`from_f64`](Self::from_f64)) — the elimination itself always runs in
-/// f64. Two solve entry points share the factor: the f64-vector path
-/// ([`solve_rowmajor_into`](Self::solve_rowmajor_into)) widens each
-/// stored `f32` at load and accumulates in f64, while the f32-vector
-/// path ([`solve_rowmajor_f32_into`](Self::solve_rowmajor_f32_into))
-/// runs both triangular passes entirely in f32 — no per-entry widenings
-/// at all — for callers (the chain's bottom solve) whose right-hand side
-/// is already preconditioner-internal and who convert once at the `n·k`
-/// boundary instead of once per envelope entry.
-///
-/// **Chained-accumulation order.** The bottom solve is the W-cycle's
-/// single largest work term (`∏k_i` leaf solves per preconditioner
-/// application), and the forward pass is a per-row reduction whose serial
-/// FP-add chain is latency-bound. Unlike the f64 tier — whose operation
-/// order is pinned to the committed behavior — this tier defines its own
-/// fixed order: each row's products are split round-robin over **four
-/// partial-sum chains** (band position mod 4, remainder entries in
-/// order), combined as `(s0 + s1) + (s2 + s3)`. The four chains are
-/// independent, so the core overlaps them and the compiler can pack the
-/// contiguous f32 loads; the assignment depends only on the band
-/// position, so every column sees the identical tree at every block
-/// width and batched solves stay bitwise identical to looped singles.
-#[derive(Debug, Clone)]
-pub struct EnvelopeLdlF32 {
-    n: usize,
-    /// First stored column of each row (`first[i] ≤ i`).
-    first: Vec<u32>,
-    /// Offsets into `l`: row `i`'s packed entries at
-    /// `l[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<usize>,
-    /// Packed strictly-lower factor rows, narrowed from f64.
-    l: Vec<f32>,
-    /// Reciprocal diagonal factor (f64); exact zeros mark null
-    /// directions.
-    dinv: Vec<f64>,
-}
-
-impl EnvelopeLdlF32 {
-    /// Demotes a completed f64 factorisation: clones the envelope
-    /// structure, narrows each strictly-lower entry with a single
-    /// `as f32` rounding, and precomputes the reciprocal diagonal
-    /// (null-direction pivots stay exactly zero).
-    pub fn from_f64(src: &EnvelopeLdl) -> Self {
-        EnvelopeLdlF32 {
-            n: src.n,
-            first: src.first.clone(),
-            offsets: src.offsets.clone(),
-            l: src.l.iter().map(|&v| v as f32).collect(),
-            dinv: src
-                .d
-                .iter()
-                .map(|&d| if d == 0.0 { 0.0 } else { 1.0 / d })
-                .collect(),
-        }
-    }
-
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of zero pivots (dimension of the detected null space).
-    pub fn null_dim(&self) -> usize {
-        self.dinv.iter().filter(|&&d| d == 0.0).count()
-    }
-
-    /// Stored strictly-lower entries (the envelope size); each solve
-    /// streams this twice at 4 bytes per entry against the f64 tier's 8.
-    pub fn envelope_nnz(&self) -> usize {
-        self.l.len()
-    }
-
-    /// Heap bytes the factor keeps resident (row starts + offsets +
-    /// packed f32 lower entries + f64 reciprocal diagonal).
-    pub fn resident_bytes(&self) -> usize {
-        self.first.len() * std::mem::size_of::<u32>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.l.len() * std::mem::size_of::<f32>()
-            + self.dinv.len() * std::mem::size_of::<f64>()
-    }
-
-    /// Solves `A x = b` — the `k = 1` case of
-    /// [`solve_rowmajor_into`](Self::solve_rowmajor_into).
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut z = Vec::new();
-        self.solve_rowmajor_into(b, 1, &mut z);
-        z
-    }
-
-    /// Solves `A X = B` for `k` row-major right-hand sides into a
-    /// caller-owned buffer; allocation-free for the monomorphised widths
-    /// (`k ∈ {1, 2, 4, 8, 16, 32}`) once `out` has capacity `n·k`, with
-    /// identical per-column arithmetic at every width.
-    pub fn solve_rowmajor_into(&self, b: &[f64], k: usize, out: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n * k);
-        out.clear();
-        out.extend_from_slice(b);
-        let z = out;
-        if self.n == 0 || k == 0 {
-            return;
-        }
-        match k {
-            1 => self.tri_solve::<1>(z),
-            2 => self.tri_solve::<2>(z),
-            4 => self.tri_solve::<4>(z),
-            8 => self.tri_solve::<8>(z),
-            16 => self.tri_solve::<16>(z),
-            32 => self.tri_solve::<32>(z),
-            _ => self.tri_solve_generic(z, k),
-        }
-    }
-
-    /// K-wide triangular solves over the f32 envelope: forward gather in
-    /// the four-chain order (see the type docs), branch-free reciprocal
-    /// diagonal scale, backward scatter — each `f32` entry widened to f64
-    /// before the multiply, f64 accumulators throughout (the
-    /// f64-accumulation rule).
-    fn tri_solve<const K: usize>(&self, zr: &mut [f64]) {
-        let n = self.n;
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let acc_row: &mut [f64] = &mut tail[..K];
-            // Four independent partial-product chains per column, filled
-            // round-robin by band position (fixed scheme — identical per
-            // column at every K).
-            let mut acc = [[0.0f64; K]; 4];
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * K..(fi + (i - fi)) * K];
-            let mut zq = zrow.chunks_exact(4 * K);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c] as f64;
-                    let zc = &zquad[c * K..(c + 1) * K];
-                    for jj in 0..K {
-                        acc[c][jj] += lw * zc[jj];
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(K)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                let lw = lij as f64;
-                for jj in 0..K {
-                    acc[c][jj] += lw * zc[jj];
-                }
-            }
-            for jj in 0..K {
-                acc_row[jj] -= (acc[0][jj] + acc[1][jj]) + (acc[2][jj] + acc[3][jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(K).zip(&self.dinv) {
-            for v in row {
-                *v *= di;
-            }
-        }
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let mut xi = [0.0f64; K];
-            xi.copy_from_slice(&tail[..K]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * K..].chunks_exact_mut(K).zip(lrow) {
-                let lw = lij as f64;
-                for jj in 0..K {
-                    row[jj] -= lw * xi[jj];
-                }
-            }
-        }
-    }
-
-    /// Fallback for block widths outside the monomorphised set; same
-    /// four-chain order per column as [`tri_solve`](Self::tri_solve), so
-    /// every width stays bitwise consistent with the `k = 1` solve.
-    fn tri_solve_generic(&self, zr: &mut [f64], k: usize) {
-        let n = self.n;
-        // acc[c·k + j]: chain c's partial sum for column j.
-        let mut acc = vec![0.0f64; 4 * k];
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            let acc_row = &mut tail[..k];
-            acc.iter_mut().for_each(|a| *a = 0.0);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * k..(fi + (i - fi)) * k];
-            let mut zq = zrow.chunks_exact(4 * k);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c] as f64;
-                    let zc = &zquad[c * k..(c + 1) * k];
-                    for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                        *a += lw * zj;
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(k)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                let lw = lij as f64;
-                for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                    *a += lw * zj;
-                }
-            }
-            for (jj, a) in acc_row.iter_mut().enumerate() {
-                *a -= (acc[jj] + acc[k + jj]) + (acc[2 * k + jj] + acc[3 * k + jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(k).zip(&self.dinv) {
-            for v in row {
-                *v *= di;
-            }
-        }
-        let mut xi = vec![0.0f64; k];
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            xi.copy_from_slice(&tail[..k]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * k..].chunks_exact_mut(k).zip(lrow) {
-                let lw = lij as f64;
-                for (x, &v) in row.iter_mut().zip(&xi) {
-                    *x -= lw * v;
-                }
-            }
-        }
-    }
-
-    /// Solves `A X = B` for `k` row-major **f32** right-hand sides into a
-    /// caller-owned **f32** buffer. Same four-chain order per column as
-    /// the f64-vector path, but every product and partial sum stays in
-    /// f32 (one narrowing per reciprocal-diagonal entry aside) — the
-    /// whole solve is at the rounding scale the factor demotion already
-    /// set, so nothing is gained by carrying f64 partials through it.
-    /// Bitwise identical per column at every block width.
-    pub fn solve_rowmajor_f32_into(&self, b: &[f32], k: usize, out: &mut Vec<f32>) {
-        assert_eq!(b.len(), self.n * k);
-        out.clear();
-        out.extend_from_slice(b);
-        let z = out;
-        if self.n == 0 || k == 0 {
-            return;
-        }
-        match k {
-            1 => self.tri_solve32::<1>(z),
-            2 => self.tri_solve32::<2>(z),
-            4 => self.tri_solve32::<4>(z),
-            8 => self.tri_solve32::<8>(z),
-            16 => self.tri_solve32::<16>(z),
-            32 => self.tri_solve32::<32>(z),
-            _ => self.tri_solve32_generic(z, k),
-        }
-    }
-
-    /// K-wide all-f32 triangular solves: forward gather in the four-chain
-    /// order, reciprocal-diagonal scale (each f64 reciprocal narrowed
-    /// once per row), backward scatter — f32 products and f32 partial
-    /// sums throughout.
-    fn tri_solve32<const K: usize>(&self, zr: &mut [f32]) {
-        let n = self.n;
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let acc_row: &mut [f32] = &mut tail[..K];
-            let mut acc = [[0.0f32; K]; 4];
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * K..(fi + (i - fi)) * K];
-            let mut zq = zrow.chunks_exact(4 * K);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c];
-                    let zc = &zquad[c * K..(c + 1) * K];
-                    for jj in 0..K {
-                        acc[c][jj] += lw * zc[jj];
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(K)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                for jj in 0..K {
-                    acc[c][jj] += lij * zc[jj];
-                }
-            }
-            for jj in 0..K {
-                acc_row[jj] -= (acc[0][jj] + acc[1][jj]) + (acc[2][jj] + acc[3][jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(K).zip(&self.dinv) {
-            let di = di as f32;
-            for v in row {
-                *v *= di;
-            }
-        }
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let mut xi = [0.0f32; K];
-            xi.copy_from_slice(&tail[..K]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * K..].chunks_exact_mut(K).zip(lrow) {
-                for jj in 0..K {
-                    row[jj] -= lij * xi[jj];
-                }
-            }
-        }
-    }
-
-    /// Fallback for block widths outside the monomorphised set; same
-    /// four-chain all-f32 arithmetic per column as
-    /// [`tri_solve32`](Self::tri_solve32).
-    fn tri_solve32_generic(&self, zr: &mut [f32], k: usize) {
-        let n = self.n;
-        let mut acc = vec![0.0f32; 4 * k];
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            let acc_row = &mut tail[..k];
-            acc.iter_mut().for_each(|a| *a = 0.0);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * k..(fi + (i - fi)) * k];
-            let mut zq = zrow.chunks_exact(4 * k);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c];
-                    let zc = &zquad[c * k..(c + 1) * k];
-                    for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                        *a += lw * zj;
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(k)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                    *a += lij * zj;
-                }
-            }
-            for (jj, a) in acc_row.iter_mut().enumerate() {
-                *a -= (acc[jj] + acc[k + jj]) + (acc[2 * k + jj] + acc[3 * k + jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(k).zip(&self.dinv) {
-            let di = di as f32;
-            for v in row {
-                *v *= di;
-            }
-        }
-        let mut xi = vec![0.0f32; k];
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            xi.copy_from_slice(&tail[..k]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * k..].chunks_exact_mut(k).zip(lrow) {
-                for (x, &v) in row.iter_mut().zip(&xi) {
-                    *x -= lij * v;
-                }
-            }
-        }
     }
 }
 
@@ -825,69 +442,25 @@ mod tests {
         assert!(env0.solve(&[]).is_empty());
     }
 
+    fn narrow(v: &[f64]) -> Vec<f32> {
+        v.iter().map(|&x| x as f32).collect()
+    }
+
     /// The f32 tier preserves structure (envelope size, null directions)
-    /// and produces a residual bounded by f32 rounding of the factor.
+    /// and produces a solution within f32 rounding of the f64 factor's.
     #[test]
     fn f32_demotion_solves_close_to_f64() {
         let g = generators::weighted_random_graph(300, 900, 0.5, 8.0, 5);
         let g = relabel(&g, &rcm_order(&g));
         let env = EnvelopeLdl::from_graph(&g, 1e-10);
-        let env32 = EnvelopeLdlF32::from_f64(&env);
+        let env32: EnvelopeLdl<f32> = env.clone().into_scaled(1.0);
         assert_eq!(env32.dim(), env.dim());
         assert_eq!(env32.envelope_nnz(), env.envelope_nnz());
         assert_eq!(env32.null_dim(), env.null_dim());
+        assert_eq!(2 * env32.stream_bytes(), env.stream_bytes());
         let b = balanced_rhs(g.n(), 1);
         let x64 = env.solve(&b);
-        let x32 = env32.solve(&b);
-        let scale = x64.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
-        for (a, c) in x32.iter().zip(&x64) {
-            assert!((a - c).abs() <= 1e-3 * scale, "{a} vs {c}");
-        }
-    }
-
-    /// Batched f32 solves are bitwise identical to looped single solves
-    /// at every width, monomorphised or generic.
-    #[test]
-    fn f32_rowmajor_block_matches_single_bitwise() {
-        let g = generators::grid2d(8, 8, |_, _| 1.0);
-        let g = relabel(&g, &rcm_order(&g));
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
-        let n = g.n();
-        for k in [2usize, 3, 4, 16, 32] {
-            let cols: Vec<Vec<f64>> = (0..k).map(|s| balanced_rhs(n, s)).collect();
-            let mut br = vec![0.0; n * k];
-            for (j, c) in cols.iter().enumerate() {
-                for i in 0..n {
-                    br[i * k + j] = c[i];
-                }
-            }
-            let mut xr = Vec::new();
-            env32.solve_rowmajor_into(&br, k, &mut xr);
-            for (j, c) in cols.iter().enumerate() {
-                let single = env32.solve(c);
-                for i in 0..n {
-                    assert_eq!(
-                        xr[i * k + j].to_bits(),
-                        single[i].to_bits(),
-                        "k={k} col {j} row {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The all-f32 vector path stays within f32 rounding of the
-    /// f64-vector path over the same demoted factor.
-    #[test]
-    fn f32_vector_path_close_to_f64_vector_path() {
-        let g = generators::weighted_random_graph(300, 900, 0.5, 8.0, 5);
-        let g = relabel(&g, &rcm_order(&g));
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
-        let b = balanced_rhs(g.n(), 2);
-        let x64 = env32.solve(&b);
-        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let mut x32 = Vec::new();
-        env32.solve_rowmajor_f32_into(&b32, 1, &mut x32);
+        let x32 = env32.solve(&narrow(&b));
         let scale = x64.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
         for (a, c) in x32.iter().zip(&x64) {
             assert!(
@@ -895,20 +468,25 @@ mod tests {
                 "{a} vs {c} (scale {scale})"
             );
         }
+        // The factor of `s·A` solves to `x / s` — bit for bit, since the
+        // scale is a power of two.
+        let env32s: EnvelopeLdl<f32> = env.into_scaled(0.5);
+        let xs = env32s.solve(&narrow(&b));
+        for (a, c) in xs.iter().zip(&x32) {
+            assert_eq!(a.to_bits(), (2.0 * c).to_bits());
+        }
     }
 
-    /// Batched all-f32 solves are bitwise identical to looped single
-    /// solves at every width, monomorphised or generic.
+    /// Batched f32 solves are bitwise identical to looped single solves
+    /// at every width, monomorphised or generic.
     #[test]
     fn f32_vector_block_matches_single_bitwise() {
         let g = generators::grid2d(8, 8, |_, _| 1.0);
         let g = relabel(&g, &rcm_order(&g));
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
+        let env32: EnvelopeLdl<f32> = EnvelopeLdl::from_graph(&g, 1e-10).into_scaled(1.0);
         let n = g.n();
         for k in [2usize, 3, 4, 16, 32] {
-            let cols: Vec<Vec<f32>> = (0..k)
-                .map(|s| balanced_rhs(n, s).iter().map(|&v| v as f32).collect())
-                .collect();
+            let cols: Vec<Vec<f32>> = (0..k).map(|s| narrow(&balanced_rhs(n, s))).collect();
             let mut br = vec![0.0f32; n * k];
             for (j, c) in cols.iter().enumerate() {
                 for i in 0..n {
@@ -916,10 +494,10 @@ mod tests {
                 }
             }
             let mut xr = Vec::new();
-            env32.solve_rowmajor_f32_into(&br, k, &mut xr);
+            env32.solve_rowmajor_into(&br, k, &mut xr);
             let mut single = Vec::new();
             for (j, c) in cols.iter().enumerate() {
-                env32.solve_rowmajor_f32_into(c, 1, &mut single);
+                env32.solve_rowmajor_into(c, 1, &mut single);
                 for i in 0..n {
                     assert_eq!(
                         xr[i * k + j].to_bits(),
@@ -944,10 +522,10 @@ mod tests {
                 Edge::new(3, 4, 1.5),
             ],
         );
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
+        let env32: EnvelopeLdl<f32> = EnvelopeLdl::from_graph(&g, 1e-10).into_scaled(1.0);
         assert_eq!(env32.null_dim(), 2);
         let b = vec![1.0, -1.0, 1.0, 0.5, -1.5];
-        let x = env32.solve(&b);
+        let x: Vec<f64> = env32.solve(&narrow(&b)).iter().map(|&v| v as f64).collect();
         let l = laplacian_of(&g);
         let r = sub(&b, &l.apply_vec(&x));
         assert!(norm2(&r) < 1e-5);

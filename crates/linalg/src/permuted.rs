@@ -10,7 +10,8 @@
 //!   (coefficient `+deg(v)`, off-diagonals `−w`), so one matrix stream
 //!   serves both the operator apply and the Jacobi-style diagonal — no
 //!   second `diag[]` array to stream;
-//! * entries are 12 bytes (`u32` column + `f64` coefficient) against the
+//! * entries are a `u32` column plus one coefficient of the level's
+//!   [`Scalar`] width — 12 bytes at `f64`, 8 at `f32` — against the
 //!   graph-walk kernel's 16 (`target` + `weight` + the `arc_edge` id the
 //!   solver never uses), and offsets are `u32`;
 //! * under a reverse Cuthill–McKee numbering (see
@@ -21,14 +22,20 @@
 //! [`cheb_fused_sweep`](PermutedLevel::cheb_fused_sweep) runs the
 //! Chebyshev recurrence's SpMV and both axpy updates in one pass over the
 //! rows **without materialising `A·p`**, and
-//! [`fused_apply_dot`](PermutedLevel::fused_apply_dot) returns `A·p`
-//! together with the per-column `pᵀA p` the outer PCG needs, saving the
-//! separate reduction pass.
+//! [`fused_apply_dot_into`](PermutedLevel::fused_apply_dot_into) returns
+//! `A·p` together with the per-column `pᵀA p` the outer PCG needs, saving
+//! the separate reduction pass.
+//!
+//! **One kernel set for both widths.** Levels are built in f64
+//! ([`PermutedLevel::from_graph`]) and may be re-stored at `f32`
+//! ([`PermutedLevel::into_scaled`]); every kernel is generic over the
+//! storage [`Scalar`] and runs entirely at that width — coefficients,
+//! vectors and accumulators alike.
 //!
 //! **Determinism contract.** Per row, accumulation order is: diagonal
 //! first, then off-diagonals in ascending column order — exactly the
-//! order the graph-walk kernel used, so results are bitwise identical to
-//! it. Rows are independent, row-parallel splits are length-based, and
+//! order the graph-walk kernel used, so f64 results are bitwise identical
+//! to it. Rows are independent, row-parallel splits are length-based, and
 //! the fused reductions combine fixed 512-row block partials in block
 //! order: every result is bitwise identical at every pool width, and per
 //! column identical at every block width `k` (batched ≡ looped).
@@ -36,6 +43,8 @@
 use rayon::prelude::*;
 
 use parsdd_graph::Graph;
+
+use crate::scalar::Scalar;
 
 /// Rows per parallel task (and per partial-sum block of the fused
 /// reductions — fixed so the reduction tree is independent of both the
@@ -47,10 +56,10 @@ const CHUNK_ROWS: usize = 1 << 9;
 const SEQ_ROWS: usize = 1 << 13;
 
 /// A chain level's Laplacian in merged-row CSR form, in the level's
-/// (already permuted) index space. See the module docs for the layout and
-/// determinism contract.
+/// (already permuted) index space, with coefficients stored at width `S`.
+/// See the module docs for the layout and determinism contract.
 #[derive(Debug, Clone)]
-pub struct PermutedLevel {
+pub struct PermutedLevel<S: Scalar = f64> {
     n: usize,
     /// Row offsets into `cols`/`coefs`, length `n + 1`.
     offsets: Vec<u32>,
@@ -58,7 +67,7 @@ pub struct PermutedLevel {
     cols: Vec<u32>,
     /// Coefficient of each entry: `+weighted_degree(v)` for the diagonal,
     /// `−w` for off-diagonals.
-    coefs: Vec<f64>,
+    coefs: Vec<S>,
 }
 
 impl PermutedLevel {
@@ -98,6 +107,25 @@ impl PermutedLevel {
         }
     }
 
+    /// The same level stored at width `S`, with every coefficient
+    /// multiplied by `scale` first (the solver chain passes a power of two,
+    /// which is exact, to bring an f32 tier's entries into range). At
+    /// `S = f64` with `scale = 1` the storage moves over unchanged.
+    pub fn into_scaled<S: Scalar>(self, scale: f64) -> PermutedLevel<S> {
+        let mut coefs = self.coefs;
+        if scale != 1.0 {
+            coefs.iter_mut().for_each(|w| *w *= scale);
+        }
+        PermutedLevel {
+            n: self.n,
+            offsets: self.offsets,
+            cols: self.cols,
+            coefs: S::from_f64_vec(coefs),
+        }
+    }
+}
+
+impl<S: Scalar> PermutedLevel<S> {
     /// Row-`v`'s merged entries as a dot product with `x`, accumulated in
     /// the pinned order (diagonal first, then ascending columns), without
     /// per-entry bounds checks on the gather.
@@ -106,8 +134,8 @@ impl PermutedLevel {
     /// `cols` only holds indices `< n` (checked at construction), and the
     /// caller passes `x` of length `n·1`, so every gather is in bounds.
     #[inline(always)]
-    fn row_dot(cols: &[u32], coefs: &[f64], x: &[f64]) -> f64 {
-        let mut acc = 0.0;
+    fn row_dot(cols: &[u32], coefs: &[S], x: &[S]) -> S {
+        let mut acc = S::ZERO;
         for (&c, &w) in cols.iter().zip(coefs) {
             debug_assert!((c as usize) < x.len());
             acc += w * unsafe { *x.get_unchecked(c as usize) };
@@ -121,8 +149,8 @@ impl PermutedLevel {
     /// scalar path. `K` is a compile-time constant so the `K`-lane update
     /// vectorises with fixed-size stack accumulators.
     #[inline(always)]
-    fn row_dot_wide<const K: usize>(cols: &[u32], coefs: &[f64], xr: &[f64]) -> [f64; K] {
-        let mut acc = [0.0f64; K];
+    fn row_dot_wide<const K: usize>(cols: &[u32], coefs: &[S], xr: &[S]) -> [S; K] {
+        let mut acc = [S::ZERO; K];
         for (&c, &w) in cols.iter().zip(coefs) {
             let o = c as usize * K;
             debug_assert!(o + K <= xr.len());
@@ -141,11 +169,11 @@ impl PermutedLevel {
     #[inline(always)]
     fn cheb_chunk_wide<const K: usize>(
         &self,
-        alpha: f64,
-        p: &[f64],
+        alpha: S,
+        p: &[S],
         base: usize,
-        xs: &mut [f64],
-        rs: &mut [f64],
+        xs: &mut [S],
+        rs: &mut [S],
     ) {
         let mut e = self.offsets[base] as usize;
         for (rr, (xrow, rrow)) in xs
@@ -168,7 +196,7 @@ impl PermutedLevel {
     /// Monomorphised apply chunk: `Y ← L X` over rows `[base, ..)` at
     /// compile-time width `K`.
     #[inline(always)]
-    fn apply_chunk_wide<const K: usize>(&self, xr: &[f64], base: usize, ys: &mut [f64]) {
+    fn apply_chunk_wide<const K: usize>(&self, xr: &[S], base: usize, ys: &mut [S]) {
         let mut e = self.offsets[base] as usize;
         for (rr, yrow) in ys.chunks_exact_mut(K).enumerate() {
             let v = base + rr;
@@ -185,10 +213,10 @@ impl PermutedLevel {
     #[inline(always)]
     fn fused_apply_dot_chunk_wide<const K: usize>(
         &self,
-        p: &[f64],
+        p: &[S],
         base: usize,
-        rows: &mut [f64],
-        acc: &mut [f64],
+        rows: &mut [S],
+        acc: &mut [S],
     ) {
         let mut e = self.offsets[base] as usize;
         for (rr, aprow) in rows.chunks_exact_mut(K).enumerate() {
@@ -218,16 +246,17 @@ impl PermutedLevel {
     /// quantity the fused sweeps amortise; exposed for the byte
     /// accounting in DESIGN.md §2.3 and the bench metrics.
     pub fn stream_bytes(&self) -> usize {
-        self.cols.len() * (4 + 8) + self.offsets.len() * 4
+        self.cols.len() * (4 + std::mem::size_of::<S>()) + self.offsets.len() * 4
     }
 
-    /// The diagonal coefficient of row `v` (the weighted degree).
+    /// The diagonal coefficient of row `v` (the weighted degree), widened
+    /// to f64.
     pub fn diag(&self, v: usize) -> f64 {
-        self.coefs[self.offsets[v] as usize]
+        self.coefs[self.offsets[v] as usize].to_f64()
     }
 
     #[inline]
-    fn row(&self, v: usize) -> (&[u32], &[f64]) {
+    fn row(&self, v: usize) -> (&[u32], &[S]) {
         let lo = self.offsets[v] as usize;
         let hi = self.offsets[v + 1] as usize;
         (&self.cols[lo..hi], &self.coefs[lo..hi])
@@ -235,14 +264,14 @@ impl PermutedLevel {
 
     /// `y ← L x` (single vector). Bitwise identical to the graph-walk
     /// kernel (`diag·x[v]` then `−w·x[u]` in arc order).
-    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
+    pub fn apply(&self, x: &[S], y: &mut [S]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
         // Walk the merged entry stream once per chunk: `e` advances
         // monotonically, so each row bound is loaded exactly once. Two
         // rows per step keeps two independent accumulator chains in
         // flight; each row's own sum stays in the pinned order.
-        let sweep = |base: usize, ys: &mut [f64]| {
+        let sweep = |base: usize, ys: &mut [S]| {
             let mut e = self.offsets[base] as usize;
             let mut v = base;
             let mut pairs = ys.chunks_exact_mut(2);
@@ -272,7 +301,7 @@ impl PermutedLevel {
     /// `xr[v·k .. (v+1)·k]`). `k = 1` takes the scalar-accumulator path
     /// of [`apply`](Self::apply); per column the arithmetic is identical
     /// at every `k`.
-    pub fn apply_rowmajor(&self, xr: &[f64], yr: &mut [f64], k: usize) {
+    pub fn apply_rowmajor(&self, xr: &[S], yr: &mut [S], k: usize) {
         assert_eq!(xr.len(), self.n * k);
         assert_eq!(yr.len(), self.n * k);
         if k == 0 || self.n == 0 {
@@ -301,14 +330,14 @@ impl PermutedLevel {
             16 => wide!(16),
             _ => {}
         }
-        let kernel = |base: usize, rows: &mut [f64]| {
-            let mut acc = [0.0f64; 32];
+        let kernel = |base: usize, rows: &mut [S]| {
+            let mut acc = [S::ZERO; 32];
             let acc = &mut acc[..k.min(32)];
             for (r, yrow) in rows.chunks_exact_mut(k).enumerate() {
                 let v = base + r;
                 let (cols, coefs) = self.row(v);
                 if k <= 32 {
-                    acc.iter_mut().for_each(|a| *a = 0.0);
+                    acc.iter_mut().for_each(|a| *a = S::ZERO);
                     for (&c, &w) in cols.iter().zip(coefs) {
                         let xrow = &xr[c as usize * k..(c as usize + 1) * k];
                         for (a, &xv) in acc.iter_mut().zip(xrow) {
@@ -317,7 +346,7 @@ impl PermutedLevel {
                     }
                     yrow.copy_from_slice(acc);
                 } else {
-                    yrow.iter_mut().for_each(|y| *y = 0.0);
+                    yrow.iter_mut().for_each(|y| *y = S::ZERO);
                     for (&c, &w) in cols.iter().zip(coefs) {
                         let xrow = &xr[c as usize * k..(c as usize + 1) * k];
                         for (y, &xv) in yrow.iter_mut().zip(xrow) {
@@ -342,23 +371,25 @@ impl PermutedLevel {
     /// With the separate p-update this makes the whole inner iteration
     /// two n-length passes (down from five) and one matrix stream.
     ///
-    /// Per element the arithmetic matches the unfused sequence
+    /// The step `alpha` is rounded to width `S` once per sweep. Per
+    /// element the arithmetic matches the unfused sequence
     /// (`axpy(α, p, x)`; `apply(p, ap)`; `axpy(−α, ap, r)`) bitwise, at
     /// every block width and pool width.
-    pub fn cheb_fused_sweep(&self, alpha: f64, p: &[f64], x: &mut [f64], r: &mut [f64], k: usize) {
+    pub fn cheb_fused_sweep(&self, alpha: f64, p: &[S], x: &mut [S], r: &mut [S], k: usize) {
         assert_eq!(p.len(), self.n * k);
         assert_eq!(x.len(), self.n * k);
         assert_eq!(r.len(), self.n * k);
         if k == 0 || self.n == 0 {
             return;
         }
+        let alpha = S::from_f64(alpha);
         if k == 1 {
             // Streaming walk with a two-row unroll: the two rows'
             // accumulator chains are independent (the core overlaps
             // them), while each row's own sum keeps the pinned order
             // (diagonal first, then ascending columns) — bitwise
             // identical to the one-row-at-a-time loop.
-            let sweep = |base: usize, xs: &mut [f64], rs: &mut [f64]| {
+            let sweep = |base: usize, xs: &mut [S], rs: &mut [S]| {
                 let mut e = self.offsets[base] as usize;
                 let mut v = base;
                 let mut xp = xs.chunks_exact_mut(2);
@@ -418,8 +449,8 @@ impl PermutedLevel {
             16 => wide!(16),
             _ => {}
         }
-        let kernel = |base_row: usize, xs: &mut [f64], rs: &mut [f64]| {
-            let mut acc = [0.0f64; 32];
+        let kernel = |base_row: usize, xs: &mut [S], rs: &mut [S]| {
+            let mut acc = [S::ZERO; 32];
             for (rr, (xrow, rrow)) in xs
                 .chunks_exact_mut(k)
                 .zip(rs.chunks_exact_mut(k))
@@ -429,7 +460,7 @@ impl PermutedLevel {
                 let (cols, coefs) = self.row(v);
                 if k <= 32 {
                     let acc = &mut acc[..k];
-                    acc.iter_mut().for_each(|a| *a = 0.0);
+                    acc.iter_mut().for_each(|a| *a = S::ZERO);
                     for (&c, &w) in cols.iter().zip(coefs) {
                         let prow = &p[c as usize * k..(c as usize + 1) * k];
                         for (a, &pv) in acc.iter_mut().zip(prow) {
@@ -445,7 +476,7 @@ impl PermutedLevel {
                     let pvrow = &p[v * k..(v + 1) * k];
                     for j in 0..k {
                         let (cs, ws) = (cols, coefs);
-                        let mut a = 0.0;
+                        let mut a = S::ZERO;
                         for (&c, &w) in cs.iter().zip(ws) {
                             a += w * p[c as usize * k + j];
                         }
@@ -469,44 +500,36 @@ impl PermutedLevel {
 
     /// `AP ← L P` and, in the same matrix pass, the per-column inner
     /// products `pᵀ(L p)` the PCG step size needs (saving the separate
-    /// reduction pass over two n-vectors). Row-major, width `k`.
+    /// reduction pass over two n-vectors). Row-major, width `k`; `dots`
+    /// receives the `k` inner products, `partial` is block-partial
+    /// scratch.
     ///
     /// The reductions accumulate per fixed 512-row block in row order and
     /// combine blocks in block order — a tree that depends only on `n`,
     /// so each column's value is identical at every `k` and pool width.
-    pub fn fused_apply_dot(&self, p: &[f64], ap: &mut [f64], k: usize) -> Vec<f64> {
-        let mut dots = Vec::new();
-        let mut partial = Vec::new();
-        self.fused_apply_dot_into(p, ap, k, &mut dots, &mut partial);
-        dots
-    }
-
-    /// [`fused_apply_dot`](Self::fused_apply_dot) into caller-owned
-    /// buffers: `dots` receives the `k` inner products, `partial` is
-    /// block-partial scratch. On the sequential dispatch path (`n` below
-    /// the cutoff) this performs no allocation once both buffers have
-    /// capacity `k`; the parallel path still collects per-block partials.
-    /// Same fixed block tree — bitwise identical results.
+    /// On the sequential dispatch path (`n` below the cutoff) this
+    /// performs no allocation once both buffers have capacity `k`; the
+    /// parallel path still collects per-block partials.
     pub fn fused_apply_dot_into(
         &self,
-        p: &[f64],
-        ap: &mut [f64],
+        p: &[S],
+        ap: &mut [S],
         k: usize,
-        dots: &mut Vec<f64>,
-        partial: &mut Vec<f64>,
+        dots: &mut Vec<S>,
+        partial: &mut Vec<S>,
     ) {
         assert_eq!(p.len(), self.n * k);
         assert_eq!(ap.len(), self.n * k);
         dots.clear();
-        dots.resize(k, 0.0);
+        dots.resize(k, S::ZERO);
         if k == 0 || self.n == 0 {
             return;
         }
         if k == 1 {
             // Streaming two-row unroll, mirroring the k = 1 fused sweep;
             // block partials still accumulate rows in ascending order.
-            let sweep = |base: usize, rows: &mut [f64]| -> f64 {
-                let mut acc = 0.0;
+            let sweep = |base: usize, rows: &mut [S]| -> S {
+                let mut acc = S::ZERO;
                 let mut e = self.offsets[base] as usize;
                 let mut v = base;
                 let mut pairs = rows.chunks_exact_mut(2);
@@ -535,7 +558,7 @@ impl PermutedLevel {
                     dots[0] += sweep(ci * CHUNK_ROWS, rows);
                 }
             } else {
-                let partials: Vec<f64> = ap
+                let partials: Vec<S> = ap
                     .par_chunks_mut(CHUNK_ROWS)
                     .enumerate()
                     .map(|(ci, rows)| sweep(ci * CHUNK_ROWS, rows))
@@ -551,18 +574,18 @@ impl PermutedLevel {
                 if self.n < SEQ_ROWS {
                     for (ci, rows) in ap.chunks_mut(CHUNK_ROWS * k).enumerate() {
                         partial.clear();
-                        partial.resize(k, 0.0);
+                        partial.resize(k, S::ZERO);
                         self.fused_apply_dot_chunk_wide::<$K>(p, ci * CHUNK_ROWS, rows, partial);
                         for (o, &v) in dots.iter_mut().zip(partial.iter()) {
                             *o += v;
                         }
                     }
                 } else {
-                    let partials: Vec<Vec<f64>> = ap
+                    let partials: Vec<Vec<S>> = ap
                         .par_chunks_mut(CHUNK_ROWS * k)
                         .enumerate()
                         .map(|(ci, rows)| {
-                            let mut acc = vec![0.0f64; k];
+                            let mut acc = vec![S::ZERO; k];
                             self.fused_apply_dot_chunk_wide::<$K>(
                                 p,
                                 ci * CHUNK_ROWS,
@@ -591,15 +614,15 @@ impl PermutedLevel {
         // Generic fallback: entry-outer (one pass over the row's entries
         // updating all k column accumulators), same per-column entry
         // order as the column-outer loop it replaces.
-        let kernel = |base_row: usize, rows: &mut [f64], acc: &mut [f64]| {
-            let mut rowacc = [0.0f64; 64];
+        let kernel = |base_row: usize, rows: &mut [S], acc: &mut [S]| {
+            let mut rowacc = [S::ZERO; 64];
             for (rr, aprow) in rows.chunks_exact_mut(k).enumerate() {
                 let v = base_row + rr;
                 let (cols, coefs) = self.row(v);
                 let prow = &p[v * k..(v + 1) * k];
                 if k <= 64 {
                     let rowacc = &mut rowacc[..k];
-                    rowacc.iter_mut().for_each(|a| *a = 0.0);
+                    rowacc.iter_mut().for_each(|a| *a = S::ZERO);
                     for (&c, &w) in cols.iter().zip(coefs) {
                         let pr = &p[c as usize * k..(c as usize + 1) * k];
                         for (a, &pv) in rowacc.iter_mut().zip(pr) {
@@ -612,7 +635,7 @@ impl PermutedLevel {
                     }
                 } else {
                     for j in 0..k {
-                        let mut a = 0.0;
+                        let mut a = S::ZERO;
                         for (&c, &w) in cols.iter().zip(coefs) {
                             a += w * p[c as usize * k + j];
                         }
@@ -627,852 +650,23 @@ impl PermutedLevel {
             // `dots` in block order — the same tree as the parallel path.
             for (ci, rows) in ap.chunks_mut(CHUNK_ROWS * k).enumerate() {
                 partial.clear();
-                partial.resize(k, 0.0);
+                partial.resize(k, S::ZERO);
                 kernel(ci * CHUNK_ROWS, rows, partial);
                 for (o, &v) in dots.iter_mut().zip(partial.iter()) {
                     *o += v;
                 }
             }
         } else {
-            let partials: Vec<Vec<f64>> = ap
+            let partials: Vec<Vec<S>> = ap
                 .par_chunks_mut(CHUNK_ROWS * k)
                 .enumerate()
                 .map(|(ci, rows)| {
-                    let mut acc = vec![0.0f64; k];
+                    let mut acc = vec![S::ZERO; k];
                     kernel(ci * CHUNK_ROWS, rows, &mut acc);
                     acc
                 })
                 .collect();
             // Combine block partials in block order (fixed tree).
-            for part in &partials {
-                for (o, &v) in dots.iter_mut().zip(part) {
-                    *o += v;
-                }
-            }
-        }
-    }
-}
-
-/// The f32 storage tier of [`PermutedLevel`]: identical merged-row CSR
-/// layout, but coefficients stored as `f32` — 8 bytes per entry
-/// (`u32` column + `f32` coefficient) against the f64 level's 12, so a
-/// full matrix stream moves two-thirds the bytes and the coefficient
-/// array alone halves.
-///
-/// Built only by **demotion** from an already-constructed f64 level
-/// ([`from_level`](Self::from_level)): the chain always builds, scales and
-/// eliminates in f64, then narrows the storage once. Vector arguments
-/// stay `f64` (the W-cycle's residuals, iterates and traces are f64
-/// end-to-end) except the Chebyshev direction `p`, which the fused sweep
-/// takes as `f32` — that gather is the other half of the sweep's stream,
-/// and the direction vector is preconditioner-internal (never consumed by
-/// the outer f64 loop), so narrowing it is free accuracy-wise.
-///
-/// **Accumulation rule.** This tier defines its own fixed intra-row order
-/// (the f64 tier's serial order is pinned to the committed behavior; this
-/// tier is free to pick a faster one): each row's products are split
-/// round-robin over **four partial chains** by entry position (diagonal is
-/// position 0), combined as `(s0 + s1) + (s2 + s3)`. The four chains are
-/// independent, which breaks the serial FP-add latency chain the
-/// gather-bound kernels are otherwise stuck on. Against an f64 vector
-/// (`apply`, the top-level PCG's fused apply+dot) the product is
-/// `f64(w) · x` and the chains accumulate in f64 — exact sums of rounded
-/// products. Against the f32 direction block (the Chebyshev sweep) the
-/// whole row dot runs **in f32** — f32 products, f32 chains — and the
-/// combined sum is widened to f64 once per row: each step rounds at the
-/// same relative scale (~6e-8) the storage demotion already introduced,
-/// the dot is over a handful of entries (sparse rows), and the result
-/// only steers a preconditioner-internal direction that the flexible
-/// outer loop re-measures in f64 anyway. The chain assignment depends
-/// only on the entry position, so every result remains bitwise identical
-/// at every pool width and block width `k`.
-#[derive(Debug, Clone)]
-pub struct PermutedLevelF32 {
-    n: usize,
-    /// Row offsets into `cols`/`coefs`, length `n + 1`.
-    offsets: Vec<u32>,
-    /// Column of each entry; `cols[offsets[v]] == v` (the inline diagonal).
-    cols: Vec<u32>,
-    /// Coefficient of each entry, narrowed from the f64 level's value.
-    coefs: Vec<f32>,
-}
-
-impl PermutedLevelF32 {
-    /// Demotes an f64 level: clones the integer structure, narrows each
-    /// coefficient with a single `as f32` rounding (round-to-nearest).
-    pub fn from_level(src: &PermutedLevel) -> Self {
-        PermutedLevelF32 {
-            n: src.n,
-            offsets: src.offsets.clone(),
-            cols: src.cols.clone(),
-            coefs: src.coefs.iter().map(|&w| w as f32).collect(),
-        }
-    }
-
-    /// Row dot against an f64 vector: four position-mod-4 partial chains
-    /// in f64 (see the type docs), combined `(s0 + s1) + (s2 + s3)`.
-    /// Same safety-by-invariant as the f64 tier: stored columns are `< n`.
-    #[inline(always)]
-    fn row_dot_x(cols: &[u32], coefs: &[f32], x: &[f64]) -> f64 {
-        let mut acc = [0.0f64; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                debug_assert!((cs[c] as usize) < x.len());
-                acc[c] += ws[c] as f64 * unsafe { *x.get_unchecked(cs[c] as usize) };
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            debug_assert!((ci as usize) < x.len());
-            acc[c] += w as f64 * unsafe { *x.get_unchecked(ci as usize) };
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3])
-    }
-
-    /// Row dot against an **f32** vector (the Chebyshev direction): f32
-    /// products summed over four position-mod-4 **f32** chains, widened
-    /// to f64 once per row (see the type docs).
-    #[inline(always)]
-    fn row_dot_p(cols: &[u32], coefs: &[f32], p: &[f32]) -> f64 {
-        Self::row_dot_p32(cols, coefs, p) as f64
-    }
-
-    /// The f32-returning core of [`row_dot_p`](Self::row_dot_p): the
-    /// whole dot runs in f32 over the four position-mod-4 chains; the
-    /// f64-iterate caller widens the combined sum once, the f32-iterate
-    /// sweep consumes it as is.
-    #[inline(always)]
-    fn row_dot_p32(cols: &[u32], coefs: &[f32], p: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                debug_assert!((cs[c] as usize) < p.len());
-                acc[c] += ws[c] * unsafe { *p.get_unchecked(cs[c] as usize) };
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            debug_assert!((ci as usize) < p.len());
-            acc[c] += w * unsafe { *p.get_unchecked(ci as usize) };
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3])
-    }
-
-    /// Width-`K` row dot against an f64 block: entry-outer with the same
-    /// four position-mod-4 chains per column, so each column's arithmetic
-    /// is identical to the scalar path's.
-    #[inline(always)]
-    fn row_dot_x_wide<const K: usize>(cols: &[u32], coefs: &[f32], xr: &[f64]) -> [f64; K] {
-        let mut acc = [[0.0f64; K]; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                let o = cs[c] as usize * K;
-                debug_assert!(o + K <= xr.len());
-                let xrow = unsafe { xr.get_unchecked(o..o + K) };
-                let wd = ws[c] as f64;
-                for j in 0..K {
-                    acc[c][j] += wd * xrow[j];
-                }
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            let o = ci as usize * K;
-            debug_assert!(o + K <= xr.len());
-            let xrow = unsafe { xr.get_unchecked(o..o + K) };
-            let wd = w as f64;
-            for j in 0..K {
-                acc[c][j] += wd * xrow[j];
-            }
-        }
-        let mut out = [0.0f64; K];
-        for j in 0..K {
-            out[j] = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
-        }
-        out
-    }
-
-    /// Width-`K` row dot against an f32 block: f32 products over four
-    /// position-mod-4 **f32** chains per column, widened once per column
-    /// (identical per-column arithmetic to the scalar path).
-    #[inline(always)]
-    fn row_dot_p_wide<const K: usize>(cols: &[u32], coefs: &[f32], pr: &[f32]) -> [f64; K] {
-        let acc = Self::row_dot_p_wide32::<K>(cols, coefs, pr);
-        let mut out = [0.0f64; K];
-        for j in 0..K {
-            out[j] = acc[j] as f64;
-        }
-        out
-    }
-
-    /// The f32-returning core of
-    /// [`row_dot_p_wide`](Self::row_dot_p_wide): per column, the same
-    /// four-chain all-f32 dot as the scalar core.
-    #[inline(always)]
-    fn row_dot_p_wide32<const K: usize>(cols: &[u32], coefs: &[f32], pr: &[f32]) -> [f32; K] {
-        let mut acc = [[0.0f32; K]; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                let o = cs[c] as usize * K;
-                debug_assert!(o + K <= pr.len());
-                let prow = unsafe { pr.get_unchecked(o..o + K) };
-                let w = ws[c];
-                for j in 0..K {
-                    acc[c][j] += w * prow[j];
-                }
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            let o = ci as usize * K;
-            debug_assert!(o + K <= pr.len());
-            let prow = unsafe { pr.get_unchecked(o..o + K) };
-            for j in 0..K {
-                acc[c][j] += w * prow[j];
-            }
-        }
-        let mut out = [0.0f32; K];
-        for j in 0..K {
-            out[j] = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
-        }
-        out
-    }
-
-    /// Monomorphised fused-sweep chunk (f32 direction, f64 iterates).
-    #[inline(always)]
-    fn cheb_chunk_wide<const K: usize>(
-        &self,
-        alpha: f64,
-        p: &[f32],
-        base: usize,
-        xs: &mut [f64],
-        rs: &mut [f64],
-    ) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, (xrow, rrow)) in xs
-            .chunks_exact_mut(K)
-            .zip(rs.chunks_exact_mut(K))
-            .enumerate()
-        {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_p_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
-            let pvrow = &p[v * K..(v + 1) * K];
-            for j in 0..K {
-                xrow[j] += alpha * pvrow[j] as f64;
-                rrow[j] -= alpha * acc[j];
-            }
-            e = hi;
-        }
-    }
-
-    /// Monomorphised fused-sweep chunk with **f32 iterates** (`af` is the
-    /// step scalar already narrowed once per sweep).
-    #[inline(always)]
-    fn cheb_chunk_wide32<const K: usize>(
-        &self,
-        af: f32,
-        p: &[f32],
-        base: usize,
-        xs: &mut [f32],
-        rs: &mut [f32],
-    ) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, (xrow, rrow)) in xs
-            .chunks_exact_mut(K)
-            .zip(rs.chunks_exact_mut(K))
-            .enumerate()
-        {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_p_wide32::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
-            let pvrow = &p[v * K..(v + 1) * K];
-            for j in 0..K {
-                xrow[j] += af * pvrow[j];
-                rrow[j] -= af * acc[j];
-            }
-            e = hi;
-        }
-    }
-
-    /// Monomorphised apply chunk on f64 blocks.
-    #[inline(always)]
-    fn apply_chunk_wide<const K: usize>(&self, xr: &[f64], base: usize, ys: &mut [f64]) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, yrow) in ys.chunks_exact_mut(K).enumerate() {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_x_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], xr);
-            yrow.copy_from_slice(&acc);
-            e = hi;
-        }
-    }
-
-    /// Monomorphised fused apply+dot chunk (f64 blocks, f64 partials).
-    #[inline(always)]
-    fn fused_apply_dot_chunk_wide<const K: usize>(
-        &self,
-        p: &[f64],
-        base: usize,
-        rows: &mut [f64],
-        acc: &mut [f64],
-    ) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, aprow) in rows.chunks_exact_mut(K).enumerate() {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let a = Self::row_dot_x_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
-            let prow = &p[v * K..(v + 1) * K];
-            aprow.copy_from_slice(&a);
-            for j in 0..K {
-                acc[j] += prow[j] * a[j];
-            }
-            e = hi;
-        }
-    }
-
-    /// Dimension (vertex count) of the level.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Stored entries (diagonal included).
-    pub fn entries(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Bytes one full matrix stream reads (entries + offsets): 8 per
-    /// entry against the f64 tier's 12.
-    pub fn stream_bytes(&self) -> usize {
-        self.cols.len() * (4 + 4) + self.offsets.len() * 4
-    }
-
-    /// The diagonal coefficient of row `v`, widened back to f64.
-    pub fn diag(&self, v: usize) -> f64 {
-        self.coefs[self.offsets[v] as usize] as f64
-    }
-
-    #[inline]
-    fn row(&self, v: usize) -> (&[u32], &[f32]) {
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        (&self.cols[lo..hi], &self.coefs[lo..hi])
-    }
-
-    /// `y ← L x` (single f64 vector, f64 accumulation). Same streaming
-    /// two-row-unrolled walk as the f64 tier.
-    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        let sweep = |base: usize, ys: &mut [f64]| {
-            let mut e = self.offsets[base] as usize;
-            let mut v = base;
-            let mut pairs = ys.chunks_exact_mut(2);
-            for pair in pairs.by_ref() {
-                let mid = self.offsets[v + 1] as usize;
-                let hi = self.offsets[v + 2] as usize;
-                pair[0] = Self::row_dot_x(&self.cols[e..mid], &self.coefs[e..mid], x);
-                pair[1] = Self::row_dot_x(&self.cols[mid..hi], &self.coefs[mid..hi], x);
-                e = hi;
-                v += 2;
-            }
-            if let [yv] = pairs.into_remainder() {
-                let hi = self.offsets[v + 1] as usize;
-                *yv = Self::row_dot_x(&self.cols[e..hi], &self.coefs[e..hi], x);
-            }
-        };
-        if self.n < SEQ_ROWS {
-            sweep(0, y);
-        } else {
-            y.par_chunks_mut(CHUNK_ROWS)
-                .enumerate()
-                .for_each(|(ci, ys)| sweep(ci * CHUNK_ROWS, ys));
-        }
-    }
-
-    /// `Y ← L X` on row-major f64 blocks of width `k`; per column the
-    /// arithmetic is identical at every `k` (same contract as the f64
-    /// tier).
-    pub fn apply_rowmajor(&self, xr: &[f64], yr: &mut [f64], k: usize) {
-        assert_eq!(xr.len(), self.n * k);
-        assert_eq!(yr.len(), self.n * k);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        if k == 1 {
-            self.apply(xr, yr);
-            return;
-        }
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    self.apply_chunk_wide::<$K>(xr, 0, yr);
-                } else {
-                    yr.par_chunks_mut(CHUNK_ROWS * k)
-                        .enumerate()
-                        .for_each(|(ci, ys)| self.apply_chunk_wide::<$K>(xr, ci * CHUNK_ROWS, ys));
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base: usize, rows: &mut [f64]| {
-            let mut acc = [[0.0f64; 32]; 4];
-            for (r, yrow) in rows.chunks_exact_mut(k).enumerate() {
-                let v = base + r;
-                let (cols, coefs) = self.row(v);
-                if k <= 32 {
-                    acc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
-                    for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                        let xrow = &xr[c as usize * k..(c as usize + 1) * k];
-                        let wd = w as f64;
-                        let ch = &mut acc[t & 3][..k];
-                        for (a, &xv) in ch.iter_mut().zip(xrow) {
-                            *a += wd * xv;
-                        }
-                    }
-                    for (j, y) in yrow.iter_mut().enumerate() {
-                        *y = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
-                    }
-                } else {
-                    for (j, y) in yrow.iter_mut().enumerate() {
-                        let mut a = [0.0f64; 4];
-                        for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a[t & 3] += w as f64 * xr[c as usize * k + j];
-                        }
-                        *y = (a[0] + a[1]) + (a[2] + a[3]);
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            kernel(0, yr);
-        } else {
-            yr.par_chunks_mut(CHUNK_ROWS * k)
-                .enumerate()
-                .for_each(|(ci, rows)| kernel(ci * CHUNK_ROWS, rows));
-        }
-    }
-
-    /// One fused Chebyshev sweep: `x ← x + α·p`, `r ← r − α·(L p)` in a
-    /// single matrix pass. `p` is the **f32** direction block (row-major,
-    /// width `k`); `x`/`r` stay f64. The row dots run entirely in f32
-    /// (four position-mod-4 chains, widened once per element — see the
-    /// type docs); per element the arithmetic is identical at every block
-    /// width and pool width.
-    pub fn cheb_fused_sweep(&self, alpha: f64, p: &[f32], x: &mut [f64], r: &mut [f64], k: usize) {
-        assert_eq!(p.len(), self.n * k);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(r.len(), self.n * k);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        if k == 1 {
-            let sweep = |base: usize, xs: &mut [f64], rs: &mut [f64]| {
-                let mut e = self.offsets[base] as usize;
-                let mut v = base;
-                let mut xp = xs.chunks_exact_mut(2);
-                let mut rp = rs.chunks_exact_mut(2);
-                for (xpair, rpair) in xp.by_ref().zip(rp.by_ref()) {
-                    let mid = self.offsets[v + 1] as usize;
-                    let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot_p(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot_p(&self.cols[mid..hi], &self.coefs[mid..hi], p);
-                    xpair[0] += alpha * p[v] as f64;
-                    rpair[0] -= alpha * a0;
-                    xpair[1] += alpha * p[v + 1] as f64;
-                    rpair[1] -= alpha * a1;
-                    e = hi;
-                    v += 2;
-                }
-                if let ([xv], [rv]) = (xp.into_remainder(), rp.into_remainder()) {
-                    let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot_p(&self.cols[e..hi], &self.coefs[e..hi], p);
-                    *xv += alpha * p[v] as f64;
-                    *rv -= alpha * a;
-                }
-            };
-            if self.n < SEQ_ROWS {
-                sweep(0, x, r);
-            } else {
-                x.par_chunks_mut(CHUNK_ROWS)
-                    .zip(r.par_chunks_mut(CHUNK_ROWS))
-                    .enumerate()
-                    .for_each(|(ci, (xs, rs))| sweep(ci * CHUNK_ROWS, xs, rs));
-            }
-            return;
-        }
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    self.cheb_chunk_wide::<$K>(alpha, p, 0, x, r);
-                } else {
-                    x.par_chunks_mut(CHUNK_ROWS * k)
-                        .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                        .enumerate()
-                        .for_each(|(ci, (xs, rs))| {
-                            self.cheb_chunk_wide::<$K>(alpha, p, ci * CHUNK_ROWS, xs, rs)
-                        });
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base_row: usize, xs: &mut [f64], rs: &mut [f64]| {
-            let mut acc = [[0.0f32; 32]; 4];
-            for (rr, (xrow, rrow)) in xs
-                .chunks_exact_mut(k)
-                .zip(rs.chunks_exact_mut(k))
-                .enumerate()
-            {
-                let v = base_row + rr;
-                let (cols, coefs) = self.row(v);
-                let pvrow = &p[v * k..(v + 1) * k];
-                if k <= 32 {
-                    acc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
-                    for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                        let prow = &p[c as usize * k..(c as usize + 1) * k];
-                        let ch = &mut acc[t & 3][..k];
-                        for (a, &pv) in ch.iter_mut().zip(prow) {
-                            *a += w * pv;
-                        }
-                    }
-                    for j in 0..k {
-                        xrow[j] += alpha * pvrow[j] as f64;
-                        rrow[j] -=
-                            alpha * (((acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j])) as f64);
-                    }
-                } else {
-                    for j in 0..k {
-                        let mut a = [0.0f32; 4];
-                        for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a[t & 3] += w * p[c as usize * k + j];
-                        }
-                        xrow[j] += alpha * pvrow[j] as f64;
-                        rrow[j] -= alpha * (((a[0] + a[1]) + (a[2] + a[3])) as f64);
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            kernel(0, x, r);
-        } else {
-            x.par_chunks_mut(CHUNK_ROWS * k)
-                .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                .enumerate()
-                .for_each(|(ci, (xs, rs))| {
-                    kernel(ci * CHUNK_ROWS, xs, rs);
-                });
-        }
-    }
-
-    /// [`cheb_fused_sweep`](Self::cheb_fused_sweep) with **f32 iterates**:
-    /// `x ← x + α·p`, `r ← r − α·(L p)` where `p`, `x`, and `r` are all
-    /// f32 blocks — the inner W-cycle's form, where every vector below
-    /// the outer interface lives in f32. The step scalar is narrowed
-    /// once per sweep; the row dots and updates then run entirely in
-    /// f32 (four position-mod-4 chains per dot, identical per element at
-    /// every block width and pool width).
-    pub fn cheb_fused_sweep32(
-        &self,
-        alpha: f64,
-        p: &[f32],
-        x: &mut [f32],
-        r: &mut [f32],
-        k: usize,
-    ) {
-        assert_eq!(p.len(), self.n * k);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(r.len(), self.n * k);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        let af = alpha as f32;
-        if k == 1 {
-            let sweep = |base: usize, xs: &mut [f32], rs: &mut [f32]| {
-                let mut e = self.offsets[base] as usize;
-                let mut v = base;
-                let mut xp = xs.chunks_exact_mut(2);
-                let mut rp = rs.chunks_exact_mut(2);
-                for (xpair, rpair) in xp.by_ref().zip(rp.by_ref()) {
-                    let mid = self.offsets[v + 1] as usize;
-                    let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot_p32(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot_p32(&self.cols[mid..hi], &self.coefs[mid..hi], p);
-                    xpair[0] += af * p[v];
-                    rpair[0] -= af * a0;
-                    xpair[1] += af * p[v + 1];
-                    rpair[1] -= af * a1;
-                    e = hi;
-                    v += 2;
-                }
-                if let ([xv], [rv]) = (xp.into_remainder(), rp.into_remainder()) {
-                    let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot_p32(&self.cols[e..hi], &self.coefs[e..hi], p);
-                    *xv += af * p[v];
-                    *rv -= af * a;
-                }
-            };
-            if self.n < SEQ_ROWS {
-                sweep(0, x, r);
-            } else {
-                x.par_chunks_mut(CHUNK_ROWS)
-                    .zip(r.par_chunks_mut(CHUNK_ROWS))
-                    .enumerate()
-                    .for_each(|(ci, (xs, rs))| sweep(ci * CHUNK_ROWS, xs, rs));
-            }
-            return;
-        }
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    self.cheb_chunk_wide32::<$K>(af, p, 0, x, r);
-                } else {
-                    x.par_chunks_mut(CHUNK_ROWS * k)
-                        .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                        .enumerate()
-                        .for_each(|(ci, (xs, rs))| {
-                            self.cheb_chunk_wide32::<$K>(af, p, ci * CHUNK_ROWS, xs, rs)
-                        });
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base_row: usize, xs: &mut [f32], rs: &mut [f32]| {
-            let mut acc = [[0.0f32; 32]; 4];
-            for (rr, (xrow, rrow)) in xs
-                .chunks_exact_mut(k)
-                .zip(rs.chunks_exact_mut(k))
-                .enumerate()
-            {
-                let v = base_row + rr;
-                let (cols, coefs) = self.row(v);
-                let pvrow = &p[v * k..(v + 1) * k];
-                if k <= 32 {
-                    acc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
-                    for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                        let prow = &p[c as usize * k..(c as usize + 1) * k];
-                        let ch = &mut acc[t & 3][..k];
-                        for (a, &pv) in ch.iter_mut().zip(prow) {
-                            *a += w * pv;
-                        }
-                    }
-                    for j in 0..k {
-                        xrow[j] += af * pvrow[j];
-                        rrow[j] -= af * ((acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]));
-                    }
-                } else {
-                    for j in 0..k {
-                        let mut a = [0.0f32; 4];
-                        for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a[t & 3] += w * p[c as usize * k + j];
-                        }
-                        xrow[j] += af * pvrow[j];
-                        rrow[j] -= af * ((a[0] + a[1]) + (a[2] + a[3]));
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            kernel(0, x, r);
-        } else {
-            x.par_chunks_mut(CHUNK_ROWS * k)
-                .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                .enumerate()
-                .for_each(|(ci, (xs, rs))| {
-                    kernel(ci * CHUNK_ROWS, xs, rs);
-                });
-        }
-    }
-
-    /// `AP ← L P` plus the per-column `pᵀ(L p)` inner products in one
-    /// matrix pass (f64 blocks in and out; reductions accumulate in f64
-    /// over the same fixed 512-row block tree as the f64 tier).
-    pub fn fused_apply_dot(&self, p: &[f64], ap: &mut [f64], k: usize) -> Vec<f64> {
-        let mut dots = Vec::new();
-        let mut partial = Vec::new();
-        self.fused_apply_dot_into(p, ap, k, &mut dots, &mut partial);
-        dots
-    }
-
-    /// [`fused_apply_dot`](Self::fused_apply_dot) into caller-owned
-    /// buffers; allocation-free on the sequential dispatch path once both
-    /// buffers have capacity `k`.
-    pub fn fused_apply_dot_into(
-        &self,
-        p: &[f64],
-        ap: &mut [f64],
-        k: usize,
-        dots: &mut Vec<f64>,
-        partial: &mut Vec<f64>,
-    ) {
-        assert_eq!(p.len(), self.n * k);
-        assert_eq!(ap.len(), self.n * k);
-        dots.clear();
-        dots.resize(k, 0.0);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        if k == 1 {
-            let sweep = |base: usize, rows: &mut [f64]| -> f64 {
-                let mut acc = 0.0;
-                let mut e = self.offsets[base] as usize;
-                let mut v = base;
-                let mut pairs = rows.chunks_exact_mut(2);
-                for pair in pairs.by_ref() {
-                    let mid = self.offsets[v + 1] as usize;
-                    let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot_x(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot_x(&self.cols[mid..hi], &self.coefs[mid..hi], p);
-                    pair[0] = a0;
-                    pair[1] = a1;
-                    acc += p[v] * a0;
-                    acc += p[v + 1] * a1;
-                    e = hi;
-                    v += 2;
-                }
-                if let [apv] = pairs.into_remainder() {
-                    let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot_x(&self.cols[e..hi], &self.coefs[e..hi], p);
-                    *apv = a;
-                    acc += p[v] * a;
-                }
-                acc
-            };
-            if self.n < SEQ_ROWS {
-                for (ci, rows) in ap.chunks_mut(CHUNK_ROWS).enumerate() {
-                    dots[0] += sweep(ci * CHUNK_ROWS, rows);
-                }
-            } else {
-                let partials: Vec<f64> = ap
-                    .par_chunks_mut(CHUNK_ROWS)
-                    .enumerate()
-                    .map(|(ci, rows)| sweep(ci * CHUNK_ROWS, rows))
-                    .collect();
-                for v in partials {
-                    dots[0] += v;
-                }
-            }
-            return;
-        }
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    for (ci, rows) in ap.chunks_mut(CHUNK_ROWS * k).enumerate() {
-                        partial.clear();
-                        partial.resize(k, 0.0);
-                        self.fused_apply_dot_chunk_wide::<$K>(p, ci * CHUNK_ROWS, rows, partial);
-                        for (o, &v) in dots.iter_mut().zip(partial.iter()) {
-                            *o += v;
-                        }
-                    }
-                } else {
-                    let partials: Vec<Vec<f64>> = ap
-                        .par_chunks_mut(CHUNK_ROWS * k)
-                        .enumerate()
-                        .map(|(ci, rows)| {
-                            let mut acc = vec![0.0f64; k];
-                            self.fused_apply_dot_chunk_wide::<$K>(
-                                p,
-                                ci * CHUNK_ROWS,
-                                rows,
-                                &mut acc,
-                            );
-                            acc
-                        })
-                        .collect();
-                    for part in &partials {
-                        for (o, &v) in dots.iter_mut().zip(part) {
-                            *o += v;
-                        }
-                    }
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base_row: usize, rows: &mut [f64], acc: &mut [f64]| {
-            let mut rowacc = [[0.0f64; 64]; 4];
-            for (rr, aprow) in rows.chunks_exact_mut(k).enumerate() {
-                let v = base_row + rr;
-                let (cols, coefs) = self.row(v);
-                let prow = &p[v * k..(v + 1) * k];
-                if k <= 64 {
-                    rowacc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
-                    for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                        let pr = &p[c as usize * k..(c as usize + 1) * k];
-                        let wd = w as f64;
-                        let ch = &mut rowacc[t & 3][..k];
-                        for (a, &pv) in ch.iter_mut().zip(pr) {
-                            *a += wd * pv;
-                        }
-                    }
-                    for j in 0..k {
-                        let a = (rowacc[0][j] + rowacc[1][j]) + (rowacc[2][j] + rowacc[3][j]);
-                        aprow[j] = a;
-                        acc[j] += prow[j] * a;
-                    }
-                } else {
-                    for j in 0..k {
-                        let mut a4 = [0.0f64; 4];
-                        for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a4[t & 3] += w as f64 * p[c as usize * k + j];
-                        }
-                        let a = (a4[0] + a4[1]) + (a4[2] + a4[3]);
-                        aprow[j] = a;
-                        acc[j] += prow[j] * a;
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            for (ci, rows) in ap.chunks_mut(CHUNK_ROWS * k).enumerate() {
-                partial.clear();
-                partial.resize(k, 0.0);
-                kernel(ci * CHUNK_ROWS, rows, partial);
-                for (o, &v) in dots.iter_mut().zip(partial.iter()) {
-                    *o += v;
-                }
-            }
-        } else {
-            let partials: Vec<Vec<f64>> = ap
-                .par_chunks_mut(CHUNK_ROWS * k)
-                .enumerate()
-                .map(|(ci, rows)| {
-                    let mut acc = vec![0.0f64; k];
-                    kernel(ci * CHUNK_ROWS, rows, &mut acc);
-                    acc
-                })
-                .collect();
             for part in &partials {
                 for (o, &v) in dots.iter_mut().zip(part) {
                     *o += v;
@@ -1618,17 +812,19 @@ mod tests {
                     }
                 }
                 let mut ap = vec![0.0; n * k];
-                let dots = m.fused_apply_dot(&pr, &mut ap, k);
+                let (mut dots, mut partial) = (Vec::new(), Vec::new());
+                m.fused_apply_dot_into(&pr, &mut ap, k, &mut dots, &mut partial);
                 let mut ap_ref = vec![0.0; n * k];
                 m.apply_rowmajor(&pr, &mut ap_ref, k);
                 for i in 0..n * k {
                     assert_eq!(ap[i].to_bits(), ap_ref[i].to_bits(), "big={big} k={k}");
                 }
                 // The dot must be k-invariant: recompute at k=1 per column.
+                let mut d1 = Vec::new();
                 for j in 0..k {
                     let p1: Vec<f64> = (0..n).map(|i| pr[i * k + j]).collect();
                     let mut ap1 = vec![0.0; n];
-                    let d1 = m.fused_apply_dot(&p1, &mut ap1, 1);
+                    m.fused_apply_dot_into(&p1, &mut ap1, 1, &mut d1, &mut partial);
                     assert_eq!(dots[j].to_bits(), d1[0].to_bits(), "col {j} big={big}");
                 }
             }
@@ -1646,11 +842,19 @@ mod tests {
         assert!(m.stream_bytes() > 0);
     }
 
+    fn demote(m: &PermutedLevel) -> PermutedLevel<f32> {
+        m.clone().into_scaled(1.0)
+    }
+
+    fn narrow(v: &[f64]) -> Vec<f32> {
+        v.iter().map(|&x| x as f32).collect()
+    }
+
     #[test]
     fn f32_demotion_structure_and_bytes() {
         let g = test_graph(false);
         let m = PermutedLevel::from_graph(&g);
-        let m32 = PermutedLevelF32::from_level(&m);
+        let m32 = demote(&m);
         assert_eq!(m32.n(), m.n());
         assert_eq!(m32.entries(), m.entries());
         // 8 bytes/entry against 12 — the coefficient stream halves.
@@ -1663,24 +867,33 @@ mod tests {
         for v in 0..g.n() {
             assert_eq!(m32.diag(v), m.diag(v) as f32 as f64);
         }
+        // A power-of-two scale is exact: every stored coefficient is the
+        // unscaled one times the scale.
+        let m32s: PermutedLevel<f32> = m.clone().into_scaled(0.25);
+        for v in 0..g.n() {
+            assert_eq!(m32s.diag(v), 0.25 * m32.diag(v));
+        }
     }
 
-    /// The f32 apply agrees with the f64 apply up to the coefficient
-    /// rounding, and is itself deterministic on both dispatch paths.
+    /// The f32 apply agrees with the f64 apply up to f32 rounding, on
+    /// both dispatch paths.
     #[test]
     fn f32_apply_close_to_f64() {
         for big in [false, true] {
             let g = test_graph(big);
             let m = PermutedLevel::from_graph(&g);
-            let m32 = PermutedLevelF32::from_level(&m);
+            let m32 = demote(&m);
             let x = rhs(g.n(), 0);
             let mut y64 = vec![0.0; g.n()];
-            let mut y32 = vec![0.0; g.n()];
+            let mut y32 = vec![0.0f32; g.n()];
             m.apply(&x, &mut y64);
-            m32.apply(&x, &mut y32);
+            m32.apply(&narrow(&x), &mut y32);
             let scale = y64.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
             for (a, b) in y32.iter().zip(&y64) {
-                assert!((a - b).abs() <= 1e-5 * scale, "big={big}: {a} vs {b}");
+                assert!(
+                    (*a as f64 - b).abs() <= 1e-5 * scale,
+                    "big={big}: {a} vs {b}"
+                );
             }
         }
     }
@@ -1690,20 +903,20 @@ mod tests {
     #[test]
     fn f32_apply_rowmajor_k_invariant_bitwise() {
         let g = test_graph(true);
-        let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
+        let m32 = demote(&PermutedLevel::from_graph(&g));
         let n = g.n();
         for k in [2usize, 4, 8, 16, 3, 17] {
-            let cols: Vec<Vec<f64>> = (0..k).map(|s| rhs(n, s)).collect();
-            let mut xr = vec![0.0; n * k];
+            let cols: Vec<Vec<f32>> = (0..k).map(|s| narrow(&rhs(n, s))).collect();
+            let mut xr = vec![0.0f32; n * k];
             for (j, c) in cols.iter().enumerate() {
                 for i in 0..n {
                     xr[i * k + j] = c[i];
                 }
             }
-            let mut yr = vec![0.0; n * k];
+            let mut yr = vec![0.0f32; n * k];
             m32.apply_rowmajor(&xr, &mut yr, k);
             for (j, c) in cols.iter().enumerate() {
-                let mut y1 = vec![0.0; n];
+                let mut y1 = vec![0.0f32; n];
                 m32.apply(c, &mut y1);
                 for i in 0..n {
                     assert_eq!(yr[i * k + j].to_bits(), y1[i].to_bits(), "k={k} col {j}");
@@ -1712,29 +925,29 @@ mod tests {
         }
     }
 
-    /// The f32 fused sweep matches the unfused sequence (apply in f64
-    /// arithmetic over the f32 coefficients + two axpys) bitwise, on both
-    /// dispatch paths, and every block width matches k = 1 per column.
+    /// The f32 fused sweep matches the unfused f32 sequence (apply + two
+    /// axpys with the step rounded once) bitwise, on both dispatch paths,
+    /// and every block width matches k = 1 per column.
     #[test]
     fn f32_fused_sweep_matches_unfused_and_k_invariant() {
         for big in [false, true] {
             let g = test_graph(big);
-            let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
+            let m32 = demote(&PermutedLevel::from_graph(&g));
             let n = g.n();
             let alpha = 0.37;
-            let p32: Vec<f32> = rhs(n, 1).iter().map(|&v| v as f32).collect();
-            let p64: Vec<f64> = p32.iter().map(|&v| v as f64).collect();
-            let mut x = rhs(n, 2);
-            let mut r = rhs(n, 3);
+            let af = alpha as f32;
+            let p = narrow(&rhs(n, 1));
+            let mut x = narrow(&rhs(n, 2));
+            let mut r = narrow(&rhs(n, 3));
             let mut x_ref = x.clone();
             let mut r_ref = r.clone();
-            // Reference: the same f64-accumulated row dots via apply
-            // (which widens each f32 exactly), then two axpys.
-            let mut ap = vec![0.0; n];
-            m32.apply(&p64, &mut ap);
-            axpy(alpha, &p64, &mut x_ref);
-            axpy(-alpha, &ap, &mut r_ref);
-            m32.cheb_fused_sweep(alpha, &p32, &mut x, &mut r, 1);
+            let mut ap = vec![0.0f32; n];
+            m32.apply(&p, &mut ap);
+            for i in 0..n {
+                x_ref[i] += af * p[i];
+                r_ref[i] -= af * ap[i];
+            }
+            m32.cheb_fused_sweep(alpha, &p, &mut x, &mut r, 1);
             for i in 0..n {
                 assert_eq!(x[i].to_bits(), x_ref[i].to_bits(), "x[{i}] big={big}");
                 assert_eq!(r[i].to_bits(), r_ref[i].to_bits(), "r[{i}] big={big}");
@@ -1742,18 +955,18 @@ mod tests {
         }
         // Block widths (monomorphised and generic) match k = 1 per column.
         let g = test_graph(true);
-        let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
+        let m32 = demote(&PermutedLevel::from_graph(&g));
         let n = g.n();
         let alpha = -0.21;
         for k in [2usize, 4, 8, 16, 3] {
-            let mut xr = vec![0.0; n * k];
-            let mut rr = vec![0.0; n * k];
+            let mut xr = vec![0.0f32; n * k];
+            let mut rr = vec![0.0f32; n * k];
             let mut pr = vec![0.0f32; n * k];
-            let mut singles: Vec<(Vec<f32>, Vec<f64>, Vec<f64>)> = Vec::new();
+            let mut singles: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = Vec::new();
             for j in 0..k {
-                let p: Vec<f32> = rhs(n, j).iter().map(|&v| v as f32).collect();
-                let x = rhs(n, j + 10);
-                let r = rhs(n, j + 20);
+                let p = narrow(&rhs(n, j));
+                let x = narrow(&rhs(n, j + 10));
+                let r = narrow(&rhs(n, j + 20));
                 for i in 0..n {
                     pr[i * k + j] = p[i];
                     xr[i * k + j] = x[i];
@@ -1776,27 +989,29 @@ mod tests {
     fn f32_fused_apply_dot_matches_apply_plus_dot() {
         for big in [false, true] {
             let g = test_graph(big);
-            let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
+            let m32 = demote(&PermutedLevel::from_graph(&g));
             let n = g.n();
             for k in [1usize, 3, 4] {
-                let mut pr = vec![0.0; n * k];
+                let mut pr = vec![0.0f32; n * k];
                 for j in 0..k {
-                    let p = rhs(n, j + 2);
+                    let p = narrow(&rhs(n, j + 2));
                     for i in 0..n {
                         pr[i * k + j] = p[i];
                     }
                 }
-                let mut ap = vec![0.0; n * k];
-                let dots = m32.fused_apply_dot(&pr, &mut ap, k);
-                let mut ap_ref = vec![0.0; n * k];
+                let mut ap = vec![0.0f32; n * k];
+                let (mut dots, mut partial) = (Vec::new(), Vec::new());
+                m32.fused_apply_dot_into(&pr, &mut ap, k, &mut dots, &mut partial);
+                let mut ap_ref = vec![0.0f32; n * k];
                 m32.apply_rowmajor(&pr, &mut ap_ref, k);
                 for i in 0..n * k {
                     assert_eq!(ap[i].to_bits(), ap_ref[i].to_bits(), "big={big} k={k}");
                 }
+                let mut d1 = Vec::new();
                 for j in 0..k {
-                    let p1: Vec<f64> = (0..n).map(|i| pr[i * k + j]).collect();
-                    let mut ap1 = vec![0.0; n];
-                    let d1 = m32.fused_apply_dot(&p1, &mut ap1, 1);
+                    let p1: Vec<f32> = (0..n).map(|i| pr[i * k + j]).collect();
+                    let mut ap1 = vec![0.0f32; n];
+                    m32.fused_apply_dot_into(&p1, &mut ap1, 1, &mut d1, &mut partial);
                     assert_eq!(dots[j].to_bits(), d1[0].to_bits(), "col {j} big={big}");
                 }
             }

@@ -14,6 +14,8 @@
 
 use rayon::prelude::*;
 
+use crate::scalar::Scalar;
+
 /// Below this length, vector kernels run sequentially.
 const SEQ_CUTOFF: usize = 1 << 13;
 
@@ -171,27 +173,6 @@ pub fn a_norm_with(x: &[f64], ax: &[f64]) -> f64 {
     dot(x, ax).max(0.0).sqrt()
 }
 
-/// Dot product of column `j` of two **row-major** blocks of width
-/// `stride` (entry `i` of the column lives at `i·stride + j`). The
-/// reduction tree depends only on the row count — the same tree [`dot`]
-/// builds — so for `stride = 1` this *is* `dot` bitwise, and a column's
-/// dot is identical whether it travels alone or inside a block, at every
-/// pool width.
-pub fn dot_strided(x: &[f64], y: &[f64], stride: usize, j: usize) -> f64 {
-    assert_eq!(x.len(), y.len());
-    assert!(j < stride.max(1));
-    let n = x.len() / stride.max(1);
-    if n < SEQ_CUTOFF {
-        (0..n).map(|i| x[i * stride + j] * y[i * stride + j]).sum()
-    } else {
-        (0..n)
-            .into_par_iter()
-            .with_min_len(MIN_LEN)
-            .map(|i| x[i * stride + j] * y[i * stride + j])
-            .sum()
-    }
-}
-
 /// Per-column dot products of two **row-major** blocks of width `k`:
 /// entry `j` of the result is `Σ_i x[i·k+j]·y[i·k+j]`. One pass over both
 /// blocks computes all `k` sums (a per-column loop would stream the
@@ -274,8 +255,14 @@ pub fn colwise_dots_rm_into(
 /// Componentwise-mean projection of every column of a **row-major**
 /// block of width `k` (the row-major counterpart of
 /// [`project_out_componentwise_constant`]; per column the accumulation
-/// order over rows is identical, so the results match it bitwise).
-pub fn project_out_componentwise_rows(xr: &mut [f64], k: usize, labels: &[u32], count: usize) {
+/// order over rows is identical, so the f64 results match it bitwise).
+/// Generic over the element width: sums and means stay at width `S`.
+pub fn project_out_componentwise_rows<S: Scalar>(
+    xr: &mut [S],
+    k: usize,
+    labels: &[u32],
+    count: usize,
+) {
     let mut sums = Vec::new();
     let mut sizes = Vec::new();
     project_out_componentwise_rows_with(xr, k, labels, count, &mut sums, &mut sizes);
@@ -284,12 +271,12 @@ pub fn project_out_componentwise_rows(xr: &mut [f64], k: usize, labels: &[u32], 
 /// [`project_out_componentwise_rows`] with caller-owned accumulator
 /// buffers (`count·k` sums, `count` sizes) — allocation-free once both
 /// have capacity; identical arithmetic.
-pub fn project_out_componentwise_rows_with(
-    xr: &mut [f64],
+pub fn project_out_componentwise_rows_with<S: Scalar>(
+    xr: &mut [S],
     k: usize,
     labels: &[u32],
     count: usize,
-    sums: &mut Vec<f64>,
+    sums: &mut Vec<S>,
     sizes: &mut Vec<usize>,
 ) {
     if k == 0 {
@@ -297,7 +284,7 @@ pub fn project_out_componentwise_rows_with(
     }
     assert_eq!(xr.len(), labels.len() * k);
     sums.clear();
-    sums.resize(count * k, 0.0);
+    sums.resize(count * k, S::ZERO);
     sizes.clear();
     sizes.resize(count, 0);
     for (row, &l) in xr.chunks_exact(k).zip(labels) {
@@ -310,104 +297,11 @@ pub fn project_out_componentwise_rows_with(
     for (comp, chunk) in sums.chunks_exact_mut(k).enumerate() {
         let sz = sizes[comp];
         for m in chunk.iter_mut() {
-            *m = if sz == 0 { 0.0 } else { *m / sz as f64 };
-        }
-    }
-    for (row, &l) in xr.chunks_exact_mut(k).zip(labels) {
-        let means = &sums[l as usize * k..(l as usize + 1) * k];
-        for (v, &m) in row.iter_mut().zip(means) {
-            *v -= m;
-        }
-    }
-}
-
-/// Fused componentwise-mean projection **and** f32 narrowing: reads the
-/// f64 block, writes `(v − mean) as f32` into `out32` without an f64
-/// staging copy. The mean accumulation and subtraction run in f64 in
-/// exactly [`project_out_componentwise_rows_with`]'s order, so the
-/// narrowed result is bitwise what projecting in place and then
-/// narrowing would produce — this only deletes the intermediate copy and
-/// the separate narrowing pass (two of the five passes the f32 bottom
-/// prelude used to make per solve).
-pub fn project_out_componentwise_rows_narrowing(
-    xr: &[f64],
-    k: usize,
-    labels: &[u32],
-    count: usize,
-    sums: &mut Vec<f64>,
-    sizes: &mut Vec<usize>,
-    out32: &mut Vec<f32>,
-) {
-    if k == 0 {
-        out32.clear();
-        return;
-    }
-    assert_eq!(xr.len(), labels.len() * k);
-    sums.clear();
-    sums.resize(count * k, 0.0);
-    sizes.clear();
-    sizes.resize(count, 0);
-    for (row, &l) in xr.chunks_exact(k).zip(labels) {
-        let s = &mut sums[l as usize * k..(l as usize + 1) * k];
-        for (acc, &v) in s.iter_mut().zip(row) {
-            *acc += v;
-        }
-        sizes[l as usize] += 1;
-    }
-    for (comp, chunk) in sums.chunks_exact_mut(k).enumerate() {
-        let sz = sizes[comp];
-        for m in chunk.iter_mut() {
-            *m = if sz == 0 { 0.0 } else { *m / sz as f64 };
-        }
-    }
-    out32.clear();
-    out32.resize(xr.len(), 0.0);
-    for ((row, orow), &l) in xr
-        .chunks_exact(k)
-        .zip(out32.chunks_exact_mut(k))
-        .zip(labels)
-    {
-        let means = &sums[l as usize * k..(l as usize + 1) * k];
-        for ((&v, &m), o) in row.iter().zip(means).zip(orow) {
-            *o = (v - m) as f32;
-        }
-    }
-}
-
-/// Componentwise-mean projection of an **f32** row-major block — the
-/// all-f32 inner W-cycle's counterpart of
-/// [`project_out_componentwise_rows_with`]. Sums accumulate in f32 (the
-/// rhs is already at f32 rounding scale; components are small at the
-/// bottom where this runs); per column the accumulation order over rows
-/// matches the f64 helper's, so every block width produces the same bits
-/// as width 1.
-pub fn project_out_componentwise_rows_f32_with(
-    xr: &mut [f32],
-    k: usize,
-    labels: &[u32],
-    count: usize,
-    sums: &mut Vec<f32>,
-    sizes: &mut Vec<usize>,
-) {
-    if k == 0 {
-        return;
-    }
-    assert_eq!(xr.len(), labels.len() * k);
-    sums.clear();
-    sums.resize(count * k, 0.0);
-    sizes.clear();
-    sizes.resize(count, 0);
-    for (row, &l) in xr.chunks_exact(k).zip(labels) {
-        let s = &mut sums[l as usize * k..(l as usize + 1) * k];
-        for (acc, &v) in s.iter_mut().zip(row) {
-            *acc += v;
-        }
-        sizes[l as usize] += 1;
-    }
-    for (comp, chunk) in sums.chunks_exact_mut(k).enumerate() {
-        let sz = sizes[comp];
-        for m in chunk.iter_mut() {
-            *m = if sz == 0 { 0.0 } else { *m / sz as f32 };
+            *m = if sz == 0 {
+                S::ZERO
+            } else {
+                *m / S::from_f64(sz as f64)
+            };
         }
     }
     for (row, &l) in xr.chunks_exact_mut(k).zip(labels) {
@@ -477,25 +371,25 @@ mod tests {
     }
 
     #[test]
-    fn fused_projection_narrowing_matches_two_step_bitwise() {
-        // The fused project-and-narrow pass must produce exactly the bits
-        // of projecting in place (f64) and then narrowing each entry.
-        let n = 37;
+    fn f32_componentwise_rows_projection_is_width_invariant() {
+        // The generic projection at f32: every column of a block gets the
+        // same bits as projecting that column alone, and the projected
+        // columns sum to (nearly) zero per component.
+        let labels: Vec<u32> = (0..50).map(|i| (i % 3) as u32).collect();
         let k = 3;
-        let labels: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let xr: Vec<f64> = (0..n * k)
-            .map(|i| ((i * 17) % 31) as f64 / 7.0 - 2.0)
-            .collect();
-        let mut two_step = xr.clone();
-        project_out_componentwise_rows(&mut two_step, k, &labels, 2);
-        let expect: Vec<f32> = two_step.iter().map(|&v| v as f32).collect();
-        let (mut sums, mut sizes, mut got) = (Vec::new(), Vec::new(), Vec::new());
-        project_out_componentwise_rows_narrowing(
-            &xr, k, &labels, 2, &mut sums, &mut sizes, &mut got,
-        );
-        assert_eq!(got.len(), expect.len());
-        for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "entry {i}");
+        let xr: Vec<f32> = (0..50 * k).map(|i| ((i * 7) % 11) as f32 - 5.0).collect();
+        let mut block = xr.clone();
+        project_out_componentwise_rows(&mut block, k, &labels, 3);
+        for j in 0..k {
+            let mut col: Vec<f32> = (0..50).map(|i| xr[i * k + j]).collect();
+            project_out_componentwise_rows(&mut col, 1, &labels, 3);
+            for i in 0..50 {
+                assert_eq!(block[i * k + j].to_bits(), col[i].to_bits());
+            }
+            for c in 0..3 {
+                let s: f32 = (0..50).filter(|&i| labels[i] == c).map(|i| col[i]).sum();
+                assert!(s.abs() < 1e-4, "component {c} sum {s}");
+            }
         }
     }
 

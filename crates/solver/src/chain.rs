@@ -48,29 +48,20 @@ use parsdd_graph::reorder::{identity_order, rcm_order, relabel};
 use parsdd_graph::{EdgeId, Graph};
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
-use parsdd_linalg::envelope::{EnvelopeLdl, EnvelopeLdlF32};
+use parsdd_linalg::envelope::EnvelopeLdl;
 use parsdd_linalg::operator::Preconditioner;
-use parsdd_linalg::permuted::{PermutedLevel, PermutedLevelF32};
+use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::power::{quadratic_form_ratio_bounds, spectrum_bounds_of_map};
 use parsdd_linalg::vector::{
-    colwise_dots_rm, colwise_dots_rm_into, dot_strided, project_out_componentwise_constant,
-    project_out_componentwise_rows, project_out_componentwise_rows_f32_with,
-    project_out_componentwise_rows_narrowing, project_out_componentwise_rows_with,
+    colwise_dots_rm, colwise_dots_rm_into, project_out_componentwise_constant,
+    project_out_componentwise_rows, project_out_componentwise_rows_with,
 };
+use parsdd_linalg::Scalar;
 use parsdd_lsst::subgraph::{ls_subgraph, LsSubgraphParams};
 
-use crate::elimination::{greedy_elimination, CompiledTraceF32, EliminationResult};
+use crate::elimination::{greedy_elimination, CompiledTraceF32, EliminationResult, Substitution};
 use crate::error::RecoveryStep;
 use crate::sparsify::{incremental_sparsify, SparsifyParams};
-
-/// How each level of the recursion iterates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IterationMethod {
-    /// Preconditioned Chebyshev with `⌈√κ⌉` iterations (the paper's rPCh).
-    Chebyshev,
-    /// Preconditioned conjugate gradient (adaptive; ablation A1).
-    ConjugateGradient,
-}
 
 /// Vertex ordering baked into every chain level's storage at
 /// [`build_chain`] time. Interior iterations run entirely in the chosen
@@ -90,20 +81,19 @@ pub enum LevelOrdering {
 }
 
 /// Storage precision of the operators the preconditioner streams per
-/// application (the per-level merged CSR matrices of levels ≥ 1 and the
-/// bottom envelope factor).
+/// application (the per-level merged CSR matrices of levels ≥ 1, the
+/// elimination traces and the bottom envelope factor).
 ///
 /// The solve is memory-bandwidth-bound (DESIGN.md §2.3): bytes streamed
 /// per iteration is the cost model, so halving entry width halves the
-/// inner loops' traffic. Under [`Precision::F32`] everything
-/// *preconditioner-internal* narrows — matrix coefficients, the bottom
-/// factor, the Chebyshev direction block and its row dots, and the
-/// elimination traces' prefolded coefficients — while the outer flexible
-/// PCG (its vectors, reductions, and the level-0 operator it measures
-/// true residuals through) stays entirely f64, so the chain still
-/// converges to full 1e-8 outer tolerances; the preconditioner is merely
-/// a slightly different (cheaper) linear map, which flexible PCG absorbs
-/// by construction.
+/// inner loops' traffic. The chain picks the width once, where a
+/// preconditioner application enters: under [`Precision::F32`] the whole
+/// W-cycle below that entry — operators, vectors and accumulators — runs
+/// at f32, while the outer flexible PCG (its vectors, reductions, and the
+/// level-0 operator it measures true residuals through) stays entirely
+/// f64, so the chain still converges to full 1e-8 outer tolerances; the
+/// preconditioner is merely a slightly different (cheaper) linear map,
+/// which flexible PCG absorbs by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full f64 storage everywhere — the determinism-pinned default. The
@@ -112,13 +102,14 @@ pub enum Precision {
     #[default]
     F64,
     /// f32 storage for the per-level matrices of levels ≥ 1 and the
-    /// bottom envelope factor, demoted once after an all-f64 build;
-    /// Chebyshev intervals are recalibrated against the demoted operator,
-    /// the duplicate per-level `Graph` CSR is dropped (roughly halving
-    /// both streamed and resident chain bytes), and every level's
-    /// elimination trace gains a multiply-only compiled form with f32
-    /// coefficients ([`CompiledTraceF32`]) that replaces the f64 trace's
-    /// per-application divisions.
+    /// bottom envelope factor, demoted once after an all-f64 build and
+    /// scaled by one power of two so the f32 operators stay in range at
+    /// any input weight scale; Chebyshev intervals are calibrated against
+    /// the demoted operators, and every level's elimination trace is
+    /// compiled to a multiply-only form with f32 coefficients
+    /// ([`CompiledTraceF32`]) that replaces the f64 trace's
+    /// per-application divisions. Bottom-only chains stay f64: their
+    /// bottom solve is the final answer.
     F32,
 }
 
@@ -209,8 +200,6 @@ pub struct ChainOptions {
     /// Vertex ordering baked into every level's storage (see
     /// [`LevelOrdering`]).
     pub ordering: LevelOrdering,
-    /// Iteration method used inside the recursion (levels ≥ 1).
-    pub inner_method: IterationMethod,
     /// Extra Chebyshev iterations added to `⌈√κ_eff⌉` at inner levels.
     pub inner_extra_iterations: usize,
     /// Hard cap on the per-level W-cycle width `k_i` (the calibrated
@@ -250,7 +239,6 @@ impl Default for ChainOptions {
             max_levels: 32,
             min_shrink: 1.3,
             ordering: LevelOrdering::BandwidthReducing,
-            inner_method: IterationMethod::Chebyshev,
             inner_extra_iterations: 1,
             max_inner_iterations: 4,
             precision: Precision::F64,
@@ -423,17 +411,16 @@ pub struct ChainLevel {
     n: usize,
     /// Edge count of `A_i` (kept after `graph` is dropped).
     m: usize,
-    /// Merged diag+offdiag Laplacian rows of `graph` — the single matrix
-    /// stream every inner sweep at this level runs on.
-    matrix: LevelMatrix,
-    /// The elimination taking the sparsifier `B_i` to `A_{i+1}`.
+    /// Bytes the level's merged-row matrix streams per sweep at its
+    /// storage width (the matrix itself lives with the chain's other
+    /// streamed operators, see [`Cycle`]).
+    stream_bytes: usize,
+    /// Storage width of the level's streamed matrix.
+    precision: Precision,
+    /// The elimination taking the sparsifier `B_i` to `A_{i+1}`. The f64
+    /// W-cycle substitutes through it directly; an f32 chain compiles it
+    /// ([`CompiledTraceF32`]) and drops its step records.
     pub elimination: EliminationResult,
-    /// [`Precision::F32`] chains only: the multiply-only compiled form of
-    /// `elimination` (divisions prefolded into f32 reciprocals; see
-    /// [`CompiledTraceF32`]). When present, the W-cycle's forward/backward
-    /// substitution passes run on it instead of the f64 trace. `None` on
-    /// f64 chains — their trace arithmetic is pinned.
-    trace32: Option<CompiledTraceF32>,
     /// Sampling condition target `κ_i` carried by the sampled edges (the
     /// level's full target is `tree_scale · κ_i`).
     pub kappa: f64,
@@ -455,7 +442,7 @@ pub struct ChainLevel {
     pub sparsifier_edges: usize,
     /// Number of edges inherited from the low-stretch subgraph.
     pub subgraph_edges: usize,
-    /// Fixed Chebyshev/CG iteration count used when this level is solved
+    /// Fixed Chebyshev iteration count used when this level is solved
     /// recursively (the W-cycle width `k_i` at this level).
     pub inner_iterations: usize,
     /// Spectrum bounds `[λ_min, λ_max]` of the *effective* preconditioned
@@ -501,16 +488,13 @@ impl ChainLevel {
 
     /// Storage precision of this level's streamed matrix.
     pub fn storage_precision(&self) -> Precision {
-        match self.matrix {
-            LevelMatrix::F64(_) => Precision::F64,
-            LevelMatrix::F32(_) => Precision::F32,
-        }
+        self.precision
     }
 
     /// Bytes this level's matrix streams per sparse sweep (coefficients +
     /// column indices + row offsets).
     pub fn stream_bytes(&self) -> usize {
-        self.matrix.stream_bytes()
+        self.stream_bytes
     }
 
     /// Heap bytes this level keeps resident: the streamed matrix plus the
@@ -520,76 +504,204 @@ impl ChainLevel {
     /// ([`CompiledTraceF32`]) and drop the wide records, so the trace
     /// never works against the demoted tier.
     pub fn resident_bytes(&self) -> usize {
-        self.matrix.stream_bytes() + self.graph.as_ref().map_or(0, |g| g.resident_bytes())
-    }
-}
-
-/// A chain level's streamed matrix in its storage precision. The f64
-/// variant is byte-for-byte the pre-knob [`PermutedLevel`]; the f32
-/// variant stores entries narrow and widens each one once at load, with
-/// every accumulation in f64 (so reduction trees stay width-invariant and
-/// the f32 path is itself bitwise-reproducible across pool widths).
-#[derive(Debug, Clone)]
-enum LevelMatrix {
-    F64(PermutedLevel),
-    F32(PermutedLevelF32),
-}
-
-impl LevelMatrix {
-    /// The f64 matrix, for paths pinned to full precision (the level-0
-    /// operator the outer PCG measures true residuals through).
-    /// Panics if the level was demoted — `build_chain` never demotes
-    /// level 0.
-    fn as_f64(&self) -> &PermutedLevel {
-        match self {
-            LevelMatrix::F64(m) => m,
-            LevelMatrix::F32(_) => unreachable!("level 0 and the bottom matrix always stay f64"),
-        }
-    }
-
-    fn stream_bytes(&self) -> usize {
-        match self {
-            LevelMatrix::F64(m) => m.stream_bytes(),
-            LevelMatrix::F32(m) => m.stream_bytes(),
-        }
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            LevelMatrix::F64(m) => m.apply(x, y),
-            LevelMatrix::F32(m) => m.apply(x, y),
-        }
-    }
-
-    fn apply_rowmajor(&self, xr: &[f64], yr: &mut [f64], k: usize) {
-        match self {
-            LevelMatrix::F64(m) => m.apply_rowmajor(xr, yr, k),
-            LevelMatrix::F32(m) => m.apply_rowmajor(xr, yr, k),
-        }
+        self.stream_bytes + self.graph.as_ref().map_or(0, |g| g.resident_bytes())
     }
 }
 
 /// The bottom-of-chain solver (Fact 6.4, with an iterative fallback for
-/// oversized bottoms).
+/// oversized bottoms), at the cycle's storage width `S`.
 #[derive(Debug, Clone)]
-enum BottomSolver {
+enum BottomSolver<S: Scalar> {
     /// Envelope (skyline) LDLᵀ factorisation — the paper's direct bottom
     /// factor, stored and streamed within the RCM-reduced profile instead
     /// of the dense triangle (the recursion solves the bottom `∏k_i`
     /// times per preconditioner application, so this stream dominates the
     /// application's byte budget). A full profile degrades to exactly the
     /// dense factorisation.
-    Direct(EnvelopeLdl),
-    /// The same envelope factor with f32 off-diagonal storage and f64
-    /// accumulation/diagonal ([`Precision::F32`] chains): both triangular
-    /// streams — the dominant bytes of a deep application — at half
-    /// width.
-    DirectF32(EnvelopeLdlF32),
-    /// Jacobi-preconditioned CG run to high accuracy (fallback when the
-    /// bottom is too large to factor).
+    Direct(EnvelopeLdl<S>),
+    /// Jacobi-preconditioned CG in f64, run to high accuracy (fallback
+    /// when the bottom is too large to factor).
     Iterative,
     /// The bottom graph has no edges; the solution is zero.
     Trivial,
+}
+
+/// Sizes of a direct bottom factor, for the chain's accounting.
+struct FactorSizes {
+    /// Stored strictly-lower envelope entries.
+    nnz: usize,
+    /// Bytes one bottom solve streams.
+    stream_bytes: usize,
+    /// Bytes the factor keeps resident.
+    resident_bytes: usize,
+}
+
+impl<S: Scalar> BottomSolver<S> {
+    fn factor_sizes(&self) -> Option<FactorSizes> {
+        match self {
+            BottomSolver::Direct(env) => Some(FactorSizes {
+                nnz: env.envelope_nnz(),
+                stream_bytes: env.stream_bytes(),
+                resident_bytes: env.resident_bytes(),
+            }),
+            BottomSolver::Iterative | BottomSolver::Trivial => None,
+        }
+    }
+}
+
+/// Everything one preconditioner application streams below the top
+/// level's elimination, stored at width `S`: the merged-row matrices of
+/// levels ≥ 1, the elimination traces, and the bottom solver. A chain
+/// holds exactly one of these ([`Tier`]), and the W-cycle is written once
+/// against it.
+#[derive(Debug, Clone)]
+struct Cycle<S: CycleScalar> {
+    /// Level `i`'s merged rows at index `i − 1` (level 0's matrix is the
+    /// chain's f64 top operator and is never demoted).
+    matrices: Vec<PermutedLevel<S>>,
+    /// The traces this width stores itself, one per level (empty at f64,
+    /// where [`ChainLevel::elimination`] is the trace).
+    traces: Vec<S::Trace>,
+    bottom: BottomSolver<S>,
+    /// The power of two every stored operator is scaled by: the cycle
+    /// solves with `scale · A`, and its entry shim multiplies the
+    /// correction back by `scale`. 1 at f64.
+    scale: f64,
+}
+
+impl<S: CycleScalar> Cycle<S> {
+    /// Stores the f64-built operators at width `S`, scaled by `scale`.
+    fn new(
+        levels: &[ChainLevel],
+        matrices: impl Iterator<Item = PermutedLevel>,
+        bottom: BottomSolver<f64>,
+        scale: f64,
+    ) -> Self {
+        Cycle {
+            matrices: matrices.map(|m| m.into_scaled(scale)).collect(),
+            traces: S::compile_traces(levels, scale),
+            bottom: match bottom {
+                BottomSolver::Direct(env) => BottomSolver::Direct(env.into_scaled(scale)),
+                BottomSolver::Iterative => BottomSolver::Iterative,
+                BottomSolver::Trivial => BottomSolver::Trivial,
+            },
+            scale,
+        }
+    }
+}
+
+/// The chain's storage width, picked once at build time.
+#[derive(Debug, Clone)]
+enum Tier {
+    F64(Cycle<f64>),
+    F32(Cycle<f32>),
+}
+
+impl Tier {
+    fn bottom_factor(&self) -> Option<FactorSizes> {
+        match self {
+            Tier::F64(c) => c.bottom.factor_sizes(),
+            Tier::F32(c) => c.bottom.factor_sizes(),
+        }
+    }
+
+    /// Stream bytes and storage precision of level `level ≥ 1`'s matrix.
+    fn level_storage(&self, level: usize) -> (usize, Precision) {
+        match self {
+            Tier::F64(c) => (c.matrices[level - 1].stream_bytes(), Precision::F64),
+            Tier::F32(c) => (c.matrices[level - 1].stream_bytes(), Precision::F32),
+        }
+    }
+}
+
+/// The parts of the W-cycle that differ by storage width; the recursion
+/// itself (`precondition_rm_into` → `w_cycle_rm_into` →
+/// `chebyshev_fixed_rm_into` → `bottom_solve_rm_into`) is written once,
+/// generic over this trait.
+trait CycleScalar: Scalar {
+    /// The elimination-trace form the cycle substitutes through.
+    type Trace: Substitution<Self> + Clone + std::fmt::Debug;
+
+    /// Compiles the traces this width stores itself (none at f64).
+    fn compile_traces(levels: &[ChainLevel], scale: f64) -> Vec<Self::Trace>;
+
+    /// Level `level`'s trace.
+    fn trace<'a>(levels: &'a [ChainLevel], cycle: &'a Cycle<Self>, level: usize)
+        -> &'a Self::Trace;
+
+    /// The entry shim: runs `f` on the residual block `rr` at this width,
+    /// with this width's scratch frames. At f64, `f` runs on the caller's
+    /// buffers — no copy. At f32, `rr` is narrowed once into staging and
+    /// the correction widened once into `out`, multiplied by `scale` (the
+    /// cycle solved with `scale · A`).
+    fn at_width(
+        ws: &mut ChainWorkspace,
+        rr: &[f64],
+        out: &mut Vec<f64>,
+        scale: f64,
+        f: impl FnOnce(&[Self], &mut Vec<Self>, &mut Frames<Self>),
+    );
+}
+
+impl CycleScalar for f64 {
+    type Trace = EliminationResult;
+
+    fn compile_traces(_levels: &[ChainLevel], _scale: f64) -> Vec<EliminationResult> {
+        Vec::new()
+    }
+
+    fn trace<'a>(
+        levels: &'a [ChainLevel],
+        _: &'a Cycle<f64>,
+        level: usize,
+    ) -> &'a EliminationResult {
+        &levels[level].elimination
+    }
+
+    fn at_width(
+        ws: &mut ChainWorkspace,
+        rr: &[f64],
+        out: &mut Vec<f64>,
+        _scale: f64,
+        f: impl FnOnce(&[f64], &mut Vec<f64>, &mut Frames<f64>),
+    ) {
+        f(rr, out, &mut ws.wide);
+    }
+}
+
+impl CycleScalar for f32 {
+    type Trace = CompiledTraceF32;
+
+    fn compile_traces(levels: &[ChainLevel], scale: f64) -> Vec<CompiledTraceF32> {
+        levels
+            .iter()
+            .map(|l| CompiledTraceF32::from_elimination(&l.elimination, scale))
+            .collect()
+    }
+
+    fn trace<'a>(_: &'a [ChainLevel], cycle: &'a Cycle<f32>, level: usize) -> &'a CompiledTraceF32 {
+        &cycle.traces[level]
+    }
+
+    fn at_width(
+        ws: &mut ChainWorkspace,
+        rr: &[f64],
+        out: &mut Vec<f64>,
+        scale: f64,
+        f: impl FnOnce(&[f32], &mut Vec<f32>, &mut Frames<f32>),
+    ) {
+        let ChainWorkspace {
+            narrow,
+            shim_in,
+            shim_out,
+            ..
+        } = ws;
+        shim_in.clear();
+        shim_in.extend(rr.iter().map(|&v| v as f32));
+        f(shim_in, shim_out, narrow);
+        out.clear();
+        out.extend(shim_out.iter().map(|&v| f64::from(v) * scale));
+    }
 }
 
 /// Statistics describing a built chain (consumed by experiments E8/E9 and
@@ -762,71 +874,58 @@ impl ChainQuality {
 /// the duration of its forward-eliminate / recurse / back-substitute
 /// sandwich.
 #[derive(Debug, Default)]
-struct ElimScratch {
+struct ElimScratch<S> {
     /// Reduced right-hand side (`n_{i+1}·k`).
-    reduced: Vec<f64>,
+    reduced: Vec<S>,
     /// Forward-pass working rhs (`n_i·k`), kept for back-substitution.
-    work: Vec<f64>,
+    work: Vec<S>,
     /// Solution of the reduced system (`n_{i+1}·k`).
-    y: Vec<f64>,
+    y: Vec<S>,
     /// `k`-wide row temp for streaming the elimination trace.
-    row: Vec<f64>,
-    /// f32 twins of the four buffers above, used by the all-f32 inner
-    /// W-cycle of [`Precision::F32`] chains (empty on f64 chains).
-    reduced32: Vec<f32>,
-    work32: Vec<f32>,
-    y32: Vec<f32>,
-    row32: Vec<f32>,
+    row: Vec<S>,
 }
 
-/// Per-level inner-iteration buffers: the Chebyshev/CG sweep at level `i`
+/// Per-level inner-iteration buffers: the Chebyshev sweep at level `i`
 /// owns entry `i` while it iterates (its recursive preconditioner calls
 /// use the elimination frame of the *same* level and the iteration frames
 /// of the levels *below*, so both frames of one level are live at once —
 /// hence two arrays, not one).
 #[derive(Debug, Default)]
-struct IterScratch {
-    r: Vec<f64>,
-    p: Vec<f64>,
-    /// [`Precision::F32`] levels only: the Chebyshev direction block kept
-    /// in f32, so the fused sweep's gather of `p` streams half the bytes.
-    /// On the all-f32 inner cycle the whole recurrence runs in f32; the
-    /// mixed path (f32 storage driven through the f64 interface) updates
-    /// it as `(z + β·p)` in f64 and narrows once per entry. Stays empty
-    /// on f64 levels.
-    p32: Vec<f32>,
-    z: Vec<f64>,
-    /// f32 twins of `r`/`z` for the all-f32 inner cycle.
-    r32: Vec<f32>,
-    z32: Vec<f32>,
-    /// CG only: the `A·p` block and per-column recurrence scalars.
-    ap: Vec<f64>,
-    rz: Vec<f64>,
-    alphas: Vec<f64>,
-    live: Vec<bool>,
+struct IterScratch<S> {
+    r: Vec<S>,
+    p: Vec<S>,
+    z: Vec<S>,
 }
 
-/// Bottom-solve buffers (rhs copy + componentwise-projection
-/// accumulators, plus the f32 staging pair the [`BottomSolver::DirectF32`]
-/// tier converts through at the `n·k` boundary), and — because this
-/// struct is the one scratch threaded through the whole W-cycle
-/// recursion — the entry-shim staging pair the f64-facing
-/// `precondition_rm_into` uses to narrow into / widen out of the all-f32
-/// inner cycle (live only across one shim entry, never concurrently with
-/// a deeper shim: the f32 recursion below the shim never re-enters the
-/// f64 interface).
+/// Bottom-solve buffers: the rhs copy and the componentwise-projection
+/// accumulators.
 #[derive(Debug, Default)]
-struct BottomScratch {
-    rhs: Vec<f64>,
-    proj_sums: Vec<f64>,
+struct BottomScratch<S> {
+    rhs: Vec<S>,
+    proj_sums: Vec<S>,
     proj_sizes: Vec<usize>,
-    rhs32: Vec<f32>,
-    out32: Vec<f32>,
-    /// f32 projection accumulators for the all-f32 bottom solve.
-    proj_sums32: Vec<f32>,
-    /// Entry-shim staging (see the type docs).
-    shim_in32: Vec<f32>,
-    shim_out32: Vec<f32>,
+}
+
+/// One width's scratch for a whole W-cycle application.
+#[derive(Debug, Default)]
+struct Frames<S> {
+    /// Indexed by the level running its elimination sandwich.
+    elim: Vec<ElimScratch<S>>,
+    /// Indexed by the level running its inner iteration (entry 0 is
+    /// unused — the adaptive outer PCG drives level 0 with its own
+    /// locals).
+    iter: Vec<IterScratch<S>>,
+    bottom: BottomScratch<S>,
+}
+
+impl<S: Default> Frames<S> {
+    fn new(depth: usize) -> Self {
+        Frames {
+            elim: (0..depth).map(|_| ElimScratch::default()).collect(),
+            iter: (0..depth).map(|_| IterScratch::default()).collect(),
+            bottom: BottomScratch::default(),
+        }
+    }
 }
 
 /// One checked-out set of scratch buffers for a chain application. All
@@ -836,16 +935,18 @@ struct BottomScratch {
 /// sized per use but **not** cleared — every kernel either overwrites its
 /// output completely or (back-substitution) provably writes each entry
 /// before reading it, so stale contents from a previous application are
-/// unobservable; see DESIGN.md §2.6.
-#[derive(Debug, Default)]
+/// unobservable; see DESIGN.md §2.6. Only the chain's own width's frames
+/// ever grow.
+#[derive(Debug)]
 pub(crate) struct ChainWorkspace {
-    /// Indexed by the level running its elimination sandwich.
-    elim: Vec<ElimScratch>,
-    /// Indexed by the level running its inner iteration (entry 0 is
-    /// unused — the adaptive outer PCG drives level 0 with its own
-    /// locals).
-    iter: Vec<IterScratch>,
-    bottom: BottomScratch,
+    /// Frames of the f64 cycle.
+    wide: Frames<f64>,
+    /// Frames of the f32 cycle.
+    narrow: Frames<f32>,
+    /// The f32 entry shim's staging: the narrowed residual and the f32
+    /// correction.
+    shim_in: Vec<f32>,
+    shim_out: Vec<f32>,
 }
 
 /// Checkout pool of [`ChainWorkspace`]s: one per concurrent application,
@@ -877,11 +978,18 @@ impl std::fmt::Debug for WorkspacePool {
 #[derive(Debug, Clone)]
 pub struct SolverChain {
     levels: Vec<ChainLevel>,
+    /// Level 0's merged rows, always f64: the operator the outer PCG
+    /// measures true residuals through (an f32 top operator would cap the
+    /// reachable residual near single-precision ε). `None` on bottom-only
+    /// chains, whose top operator is `bottom_matrix`.
+    top_matrix: Option<PermutedLevel>,
     bottom_graph: Graph,
     /// Merged-row Laplacian of the bottom graph (the operator for
     /// chains with no levels and for residual checks on such chains).
     bottom_matrix: PermutedLevel,
-    bottom: BottomSolver,
+    /// The operators a preconditioner application streams, at the
+    /// chain's storage width.
+    tier: Tier,
     bottom_labels: Vec<u32>,
     bottom_components: usize,
     /// Connected-component labels of the top-level graph, cached at build
@@ -987,6 +1095,9 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         .max((input_m as f64).powf(options.bottom_exponent).ceil() as usize);
 
     let mut levels: Vec<ChainLevel> = Vec::new();
+    // Each level's merged rows, built in f64; stored at the chain's width
+    // once the chain is complete.
+    let mut matrices: Vec<PermutedLevel> = Vec::new();
     let mut current = g.simplify();
     // Bake the boundary permutation into the top system before anything
     // downstream (subgraph, sampling, elimination) sees it.
@@ -1162,7 +1273,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         let inner_iterations = (kappa_target.sqrt().ceil() as usize
             + options.inner_extra_iterations)
             .clamp(2, options.max_inner_iterations);
-        let matrix = LevelMatrix::F64(PermutedLevel::from_graph(&current));
+        let matrix = PermutedLevel::from_graph(&current);
         // Provisional bounds from the sampled ratio; replaced by the
         // power-iteration calibration below once the chain is complete.
         let cheb_bounds = provisional_bounds(measured_ratio, kappa_target);
@@ -1171,9 +1282,9 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
             graph: Some(current),
             n: level_n,
             m: level_m,
-            matrix,
+            stream_bytes: matrix.stream_bytes(),
+            precision: Precision::F64,
             elimination,
-            trace32: None,
             kappa: kappa_used,
             tree_scale: sparsifier.tree_scale,
             kappa_clamped: sparsifier.kappa_clamped,
@@ -1183,6 +1294,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
             inner_iterations,
             cheb_bounds,
         });
+        matrices.push(matrix);
         current = next;
         // Data-driven depth cutoff: recursing past a level that stopped
         // shrinking (in vertices *or* edges) only multiplies the W-cycle's
@@ -1201,7 +1313,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // under the scope (same width-independence argument as the per-level
     // passes above).
     let mut bottom_matrix_slot: Option<PermutedLevel> = None;
-    let mut bottom_slot: Option<BottomSolver> = None;
+    let mut bottom_slot: Option<BottomSolver<f64>> = None;
     let mut comps_slot = None;
     let mut top_comps_slot = None;
     rayon::scope(|s| {
@@ -1238,11 +1350,37 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         comps_slot.expect("scope completed components");
     let top_comps = top_comps_slot.expect("scope completed top components");
 
+    // Store the streamed operators at the chain's width, once. Level 0
+    // stays f64 on both tiers (the outer PCG's residual operator), and a
+    // bottom-only chain stays f64 too: its bottom solve is the final
+    // answer, which must hit the caller's tolerance — a single f32-factor
+    // solve caps out near 1e-7 relative.
+    let mut matrices = matrices.into_iter();
+    let top_matrix = matrices.next();
+    let tier = match &top_matrix {
+        Some(top) if options.precision == Precision::F32 => {
+            Tier::F32(Cycle::new(&levels, matrices, bottom, chain_scale(top)))
+        }
+        _ => Tier::F64(Cycle::new(&levels, matrices, bottom, 1.0)),
+    };
+    for (i, lvl) in levels.iter_mut().enumerate().skip(1) {
+        (lvl.stream_bytes, lvl.precision) = tier.level_storage(i);
+    }
+    if let Tier::F32(_) = tier {
+        // The compiled traces took over both substitution passes, so the
+        // f64 step records would only hold duplicate trace memory.
+        for lvl in levels.iter_mut() {
+            lvl.elimination.steps = Vec::new();
+            lvl.elimination.star_data = Vec::new();
+        }
+    }
+
     let mut chain = SolverChain {
         levels,
+        top_matrix,
         bottom_graph: current,
         bottom_matrix,
-        bottom,
+        tier,
         bottom_labels: comps.labels,
         bottom_components: comps.count,
         top_labels: top_comps.labels,
@@ -1251,57 +1389,34 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         options,
         workspaces: WorkspacePool::new(),
     };
-    if options.precision == Precision::F32 {
-        // Demote once, after the all-f64 build: levels ≥ 1 and the bottom
-        // envelope factor are what the preconditioner streams per
-        // application. Level 0 and the bottom matrix stay f64 — the outer
-        // PCG measures true residuals through them, and an f32 top
-        // operator would cap the reachable residual near single-precision
-        // ε, above the 1e-8 outer tolerances the solver pins.
-        for lvl in chain.levels.iter_mut().skip(1) {
-            lvl.matrix = LevelMatrix::F32(PermutedLevelF32::from_level(lvl.matrix.as_f64()));
-        }
-        // Every level's elimination trace (level 0's included — the trace
-        // is preconditioner-internal even at the top) gets its compiled
-        // multiply-only form: the f64 trace re-divides per application
-        // (`wa/(wa+wb)`, `1/w`, `1/Σw` on every step), and those
-        // unpipelined divides sit on the hottest recursion path.
-        for lvl in chain.levels.iter_mut() {
-            lvl.trace32 = Some(CompiledTraceF32::from_elimination(&lvl.elimination));
-        }
-        // The bottom factor demotes only under a recursion: there each
-        // bottom solve feeds a preconditioner application (absorbed by the
-        // outer flexible PCG) and is streamed `∏k_i` times. A depth-0
-        // chain returns its bottom solve *as the final answer*, which must
-        // hit the caller's tolerance — a single f32-factor solve caps out
-        // near 1e-7 relative.
-        if !chain.levels.is_empty() {
-            if let BottomSolver::Direct(env) = &chain.bottom {
-                chain.bottom = BottomSolver::DirectF32(EnvelopeLdlF32::from_f64(env));
-            }
-        }
-    }
-    // Calibration runs *after* demotion so the Chebyshev intervals bracket
-    // the spectrum of the operator the inner iteration actually applies.
+    // Calibration runs on the stored operators, so the Chebyshev intervals
+    // bracket the spectrum of the operator the inner iteration actually
+    // applies.
     chain.calibrate_chebyshev_bounds();
     // The per-level Graph CSR is only consulted at build/calibration time
-    // — every per-application sweep runs on `matrix` — so both precision
-    // tiers drop it here and a long-lived chain stops holding ~2× the
-    // matrix memory it streams. (The bottom keeps its graph: the
+    // — every per-application sweep runs on the stored matrices — so both
+    // precision tiers drop it here and a long-lived chain stops holding
+    // ~2× the matrix memory it streams. (The bottom keeps its graph: the
     // iterative fallback and the residual accounting still walk it.)
     for lvl in chain.levels.iter_mut() {
         lvl.graph = None;
     }
-    if options.precision == Precision::F32 {
-        // The f64 elimination step records go too: the compiled trace
-        // took over both substitution passes above, so keeping the wide
-        // records would hold duplicate trace memory for nothing.
-        for lvl in chain.levels.iter_mut() {
-            lvl.elimination.steps = Vec::new();
-            lvl.elimination.star_data = Vec::new();
-        }
-    }
     chain
+}
+
+/// The power of two `s` an f32 chain stores its operators at (the cycle
+/// solves with `s · A`): the top level's largest diagonal entry lands near
+/// 1, so the f32 operators and vectors stay in range whatever the input's
+/// weight scale. Scaling by a power of two is exact, so wherever the
+/// unscaled f32 cycle would have stayed in range the chain's output bits
+/// are unchanged.
+fn chain_scale(top: &PermutedLevel) -> f64 {
+    let max_diag = (0..top.n()).map(|v| top.diag(v)).fold(0.0, f64::max);
+    if max_diag > 0.0 && max_diag.is_finite() {
+        2f64.powi(-(max_diag.log2().round() as i32).clamp(-1000, 1000))
+    } else {
+        1.0
+    }
 }
 
 /// Fallback Chebyshev interval from the sampled quadratic-form ratio.
@@ -1335,29 +1450,33 @@ impl SolverChain {
         &self.options
     }
 
+    /// The operator the outer PCG runs on: level 0's f64 rows, or the
+    /// bottom's on a bottom-only chain.
+    fn top_operator(&self) -> &PermutedLevel {
+        self.top_matrix.as_ref().unwrap_or(&self.bottom_matrix)
+    }
+
     /// Estimated flops of one bottom solve (two envelope streams of the
     /// direct factor, or the iterative fallback's worst-case budget).
     fn bottom_solve_cost(&self) -> f64 {
         let n = self.bottom_graph.n() as f64;
         let m = self.bottom_graph.m() as f64;
-        match &self.bottom {
-            BottomSolver::Trivial => 0.0,
-            BottomSolver::Direct(env) => 2.0 * env.envelope_nnz() as f64 + 2.0 * n,
-            BottomSolver::DirectF32(env) => 2.0 * env.envelope_nnz() as f64 + 2.0 * n,
-            BottomSolver::Iterative => m * (2 * self.bottom_graph.n()).clamp(100, 4000) as f64,
+        match self.tier.bottom_factor() {
+            Some(f) => 2.0 * f.nnz as f64 + 2.0 * n,
+            None if self.bottom_graph.m() == 0 => 0.0,
+            None => m * (2 * self.bottom_graph.n()).clamp(100, 4000) as f64,
         }
     }
 
     /// Bytes one bottom solve streams: both triangular passes of the
-    /// direct factor (at its storage width) plus the f64 diagonal, or the
-    /// iterative fallback's per-iteration graph stream times its budget.
+    /// direct factor plus its diagonal (at the factor's storage width),
+    /// or the iterative fallback's per-iteration graph stream times its
+    /// budget.
     fn bottom_stream_bytes(&self) -> f64 {
-        let n = self.bottom_graph.n() as f64;
-        match &self.bottom {
-            BottomSolver::Trivial => 0.0,
-            BottomSolver::Direct(env) => 2.0 * env.envelope_nnz() as f64 * 8.0 + n * 8.0,
-            BottomSolver::DirectF32(env) => 2.0 * env.envelope_nnz() as f64 * 4.0 + n * 8.0,
-            BottomSolver::Iterative => {
+        match self.tier.bottom_factor() {
+            Some(f) => f.stream_bytes as f64,
+            None if self.bottom_graph.m() == 0 => 0.0,
+            None => {
                 self.bottom_graph.resident_bytes() as f64
                     * (2 * self.bottom_graph.n()).clamp(100, 4000) as f64
             }
@@ -1367,11 +1486,7 @@ impl SolverChain {
     /// Heap bytes the bottom keeps resident: its f64 merged-row matrix,
     /// the retained bottom graph, and the envelope factor's arrays.
     fn bottom_resident_bytes(&self) -> usize {
-        let factor = match &self.bottom {
-            BottomSolver::Trivial | BottomSolver::Iterative => 0,
-            BottomSolver::Direct(env) => env.resident_bytes(),
-            BottomSolver::DirectF32(env) => env.resident_bytes(),
-        };
+        let factor = self.tier.bottom_factor().map_or(0, |f| f.resident_bytes);
         self.bottom_matrix.stream_bytes() + self.bottom_graph.resident_bytes() + factor
     }
 
@@ -1432,15 +1547,8 @@ impl SolverChain {
             level_work,
             work_per_application,
             recursion_leaves,
-            direct_bottom: matches!(
-                self.bottom,
-                BottomSolver::Direct(_) | BottomSolver::DirectF32(_)
-            ),
-            bottom_envelope_nnz: match &self.bottom {
-                BottomSolver::Direct(env) => env.envelope_nnz(),
-                BottomSolver::DirectF32(env) => env.envelope_nnz(),
-                _ => 0,
-            },
+            direct_bottom: self.tier.bottom_factor().is_some(),
+            bottom_envelope_nnz: self.tier.bottom_factor().map_or(0, |f| f.nnz),
             level_resident_bytes,
             resident_bytes,
             streamed_bytes_per_application,
@@ -1504,13 +1612,11 @@ impl SolverChain {
             .lock()
             .expect("workspace pool poisoned")
             .pop()
-            .unwrap_or_else(|| {
-                let d = self.levels.len();
-                ChainWorkspace {
-                    elim: (0..d).map(|_| ElimScratch::default()).collect(),
-                    iter: (0..d).map(|_| IterScratch::default()).collect(),
-                    bottom: BottomScratch::default(),
-                }
+            .unwrap_or_else(|| ChainWorkspace {
+                wide: Frames::new(self.levels.len()),
+                narrow: Frames::new(self.levels.len()),
+                shim_in: Vec::new(),
+                shim_out: Vec::new(),
             });
         let out = f(&mut ws);
         self.workspaces
@@ -1529,161 +1635,104 @@ impl SolverChain {
     /// `tests/alloc.rs`.
     pub fn precondition_block_rm(&self, rr: &[f64], k: usize, out: &mut Vec<f64>) {
         self.with_workspace(|ws| {
+            self.apply_preconditioner(rr, k, Self::PRECOND_BOTTOM_TOL, out, ws)
+        });
+    }
+
+    /// Where a preconditioner application enters, the chain picks its
+    /// storage width — the one place the two tiers meet. `bottom_tol` is
+    /// the iterative bottom's tolerance on a bottom-only chain.
+    fn apply_preconditioner(
+        &self,
+        rr: &[f64],
+        k: usize,
+        bottom_tol: f64,
+        out: &mut Vec<f64>,
+        ws: &mut ChainWorkspace,
+    ) {
+        match &self.tier {
+            Tier::F64(cycle) => self.apply_cycle(cycle, rr, k, bottom_tol, out, ws),
+            Tier::F32(cycle) => self.apply_cycle(cycle, rr, k, bottom_tol, out, ws),
+        }
+    }
+
+    fn apply_cycle<S: CycleScalar>(
+        &self,
+        cycle: &Cycle<S>,
+        rr: &[f64],
+        k: usize,
+        bottom_tol: f64,
+        out: &mut Vec<f64>,
+        ws: &mut ChainWorkspace,
+    ) {
+        S::at_width(ws, rr, out, cycle.scale, |r, z, frames| {
+            let Frames { elim, iter, bottom } = frames;
             if self.levels.is_empty() {
-                self.bottom_solve_rm_into(rr, k, Self::PRECOND_BOTTOM_TOL, out, &mut ws.bottom);
+                self.bottom_solve_rm_into(cycle, r, k, bottom_tol, z, bottom);
             } else {
-                self.precondition_rm_into(
-                    0,
-                    rr,
-                    k,
-                    out,
-                    &mut ws.elim[..],
-                    &mut ws.iter[1..],
-                    &mut ws.bottom,
-                );
+                self.precondition_rm_into(cycle, 0, r, k, z, elim, &mut iter[1..], bottom);
             }
         });
     }
 
     /// Solves the bottom system `A_d X = B` for `k` row-major right-hand
-    /// sides (to `tol` per column when iterative). The direct factor's
+    /// sides (to `tol` per column when iterative) into a caller-owned
+    /// output through the frame's bottom scratch. The direct factor's
     /// envelope is streamed once per block
-    /// ([`EnvelopeLdl::solve_rowmajor`]); the iterative fallback runs the
-    /// blocked PCG driver with per-column deflation.
-    fn bottom_solve_rm(&self, br: &[f64], k: usize, tol: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.with_workspace(|ws| {
-            self.bottom_solve_rm_into(br, k, tol, &mut out, &mut ws.bottom);
-        });
-        out
-    }
-
-    /// [`bottom_solve_rm`](Self::bottom_solve_rm) into a caller-owned
-    /// output through the workspace's bottom scratch. Allocation-free in
-    /// steady state for the trivial and direct bottoms (at the factor's
-    /// monomorphised widths); the iterative fallback still allocates its
-    /// CG state internally — it is the rare path where the envelope
-    /// factorisation was refused, and its per-solve cost dwarfs the
-    /// allocations.
-    fn bottom_solve_rm_into(
+    /// ([`EnvelopeLdl::solve_rowmajor_into`]), allocation-free in steady
+    /// state at the factor's monomorphised widths; the iterative fallback
+    /// runs the blocked f64 PCG driver with per-column deflation and still
+    /// allocates its CG state internally — it is the rare path where the
+    /// envelope factorisation was refused, and its per-solve cost dwarfs
+    /// the allocations.
+    fn bottom_solve_rm_into<S: CycleScalar>(
         &self,
-        br: &[f64],
+        cycle: &Cycle<S>,
+        br: &[S],
         k: usize,
         tol: f64,
-        out: &mut Vec<f64>,
-        scratch: &mut BottomScratch,
+        out: &mut Vec<S>,
+        scratch: &mut BottomScratch<S>,
     ) {
-        // The f64-staging projection prelude, shared by the solvers that
-        // consume an f64 rhs. The f32 direct bottom skips it: its fused
-        // project-and-narrow pass below reads `br` directly.
-        let project_into_rhs = |scratch: &mut BottomScratch| {
-            let rhs = &mut scratch.rhs;
-            rhs.clear();
-            rhs.extend_from_slice(br);
-            project_out_componentwise_rows_with(
-                rhs,
-                k,
-                &self.bottom_labels,
-                self.bottom_components,
-                &mut scratch.proj_sums,
-                &mut scratch.proj_sizes,
-            );
-        };
-        match &self.bottom {
-            BottomSolver::Trivial => {
-                out.clear();
-                out.resize(br.len(), 0.0);
-            }
-            BottomSolver::Direct(env) => {
-                project_into_rhs(scratch);
-                env.solve_rowmajor_into(&scratch.rhs, k, out);
-            }
-            BottomSolver::DirectF32(env) => {
-                // Project and narrow in one fused pass (no f64 staging
-                // copy), then run both triangular passes entirely in f32
-                // — the rhs is already preconditioner-internal, and
-                // per-entry widening of the factor costs more than it
-                // buys at this rounding scale.
-                project_out_componentwise_rows_narrowing(
-                    br,
-                    k,
-                    &self.bottom_labels,
-                    self.bottom_components,
-                    &mut scratch.proj_sums,
-                    &mut scratch.proj_sizes,
-                    &mut scratch.rhs32,
-                );
-                env.solve_rowmajor_f32_into(&scratch.rhs32, k, &mut scratch.out32);
-                out.clear();
-                out.extend(scratch.out32.iter().map(|&v| v as f64));
-            }
+        if let BottomSolver::Trivial = cycle.bottom {
+            out.clear();
+            out.resize(br.len(), S::ZERO);
+            return;
+        }
+        let rhs = &mut scratch.rhs;
+        rhs.clear();
+        rhs.extend_from_slice(br);
+        project_out_componentwise_rows_with(
+            rhs,
+            k,
+            &self.bottom_labels,
+            self.bottom_components,
+            &mut scratch.proj_sums,
+            &mut scratch.proj_sizes,
+        );
+        match &cycle.bottom {
+            BottomSolver::Direct(env) => env.solve_rowmajor_into(rhs, k, out),
             BottomSolver::Iterative => {
-                project_into_rhs(scratch);
                 let op = parsdd_linalg::laplacian::LaplacianOp::new(&self.bottom_graph);
                 let jac = parsdd_linalg::jacobi::JacobiPreconditioner::from_laplacian(&op);
-                let block = MultiVector::from_rowmajor(&scratch.rhs, k);
+                let wide: Vec<f64> = rhs.iter().map(|v| v.to_f64()).collect();
                 let outs = parsdd_linalg::cg::block_pcg_solve(
                     &op,
                     &jac,
-                    &block,
+                    &MultiVector::from_rowmajor(&wide, k),
                     &parsdd_linalg::cg::CgOptions {
                         max_iters: (2 * self.bottom_graph.n()).clamp(100, 4000),
                         tol,
                     },
                 );
                 let cols: Vec<Vec<f64>> = outs.into_iter().map(|o| o.x).collect();
+                // The cycle solves with `scale · A`.
+                let x = MultiVector::from_columns(&cols).to_rowmajor();
                 out.clear();
-                out.extend_from_slice(&MultiVector::from_columns(&cols).to_rowmajor());
+                out.extend(x.iter().map(|&v| S::from_f64(v / cycle.scale)));
             }
+            BottomSolver::Trivial => unreachable!("handled above"),
         }
-    }
-
-    /// The bottom solve of the all-f32 inner cycle. The f32 direct
-    /// bottom projects and solves without touching f64; the trivial
-    /// bottom zeroes. The remaining bottoms (an f32 chain whose envelope
-    /// factorisation was refused, leaving the iterative fallback) widen
-    /// at the boundary and reuse the f64 entry — a rare path whose
-    /// per-solve cost dwarfs the staging it allocates.
-    fn bottom_solve_rm32_into(
-        &self,
-        br: &[f32],
-        k: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut BottomScratch,
-    ) {
-        match &self.bottom {
-            BottomSolver::Trivial => {
-                out.clear();
-                out.resize(br.len(), 0.0);
-            }
-            BottomSolver::DirectF32(env) => {
-                scratch.rhs32.clear();
-                scratch.rhs32.extend_from_slice(br);
-                project_out_componentwise_rows_f32_with(
-                    &mut scratch.rhs32,
-                    k,
-                    &self.bottom_labels,
-                    self.bottom_components,
-                    &mut scratch.proj_sums32,
-                    &mut scratch.proj_sizes,
-                );
-                env.solve_rowmajor_f32_into(&scratch.rhs32, k, out);
-            }
-            BottomSolver::Direct(_) | BottomSolver::Iterative => {
-                let wide: Vec<f64> = br.iter().map(|&v| f64::from(v)).collect();
-                let mut wout = Vec::new();
-                self.bottom_solve_rm_into(&wide, k, Self::PRECOND_BOTTOM_TOL, &mut wout, scratch);
-                out.clear();
-                out.extend(wout.iter().map(|&v| v as f32));
-            }
-        }
-    }
-
-    /// Single-vector bottom solve: the `k = 1` case of
-    /// [`bottom_solve_rm`](Self::bottom_solve_rm) (row-major and
-    /// column-major coincide at width 1).
-    fn bottom_solve(&self, b: &[f64], tol: f64) -> Vec<f64> {
-        self.bottom_solve_rm(b, 1, tol)
     }
 
     /// Applies the level-`i` preconditioner `B_i⁻¹ R` to `k` row-major
@@ -1691,81 +1740,31 @@ impl SolverChain {
     /// with the W-cycle, back-substitute — the elimination trace and
     /// every matrix below are streamed once per block, and every step
     /// touches contiguous k-wide rows.
-    fn precondition_rm(&self, level: usize, rr: &[f64], k: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.with_workspace(|ws| {
-            self.precondition_rm_into(
-                level,
-                rr,
-                k,
-                &mut out,
-                &mut ws.elim[level..],
-                &mut ws.iter[level + 1..],
-                &mut ws.bottom,
-            );
-        });
-        out
-    }
-
-    /// The workspace-threaded preconditioner application. `elim_ws` holds
-    /// the elimination frames of this level and below
+    ///
+    /// `elim_ws` holds the elimination frames of this level and below
     /// (`levels.len() − level` entries), `iter_ws` the inner-iteration
     /// frames strictly below (`levels.len() − level − 1` entries); each
     /// recursion step peels its own frame off the front, so frames of
     /// distinct in-flight levels never alias.
     #[allow(clippy::too_many_arguments)]
-    fn precondition_rm_into(
+    fn precondition_rm_into<S: CycleScalar>(
         &self,
+        cycle: &Cycle<S>,
         level: usize,
-        rr: &[f64],
+        rr: &[S],
         k: usize,
-        out: &mut Vec<f64>,
-        elim_ws: &mut [ElimScratch],
-        iter_ws: &mut [IterScratch],
-        bottom: &mut BottomScratch,
+        out: &mut Vec<S>,
+        elim_ws: &mut [ElimScratch<S>],
+        iter_ws: &mut [IterScratch<S>],
+        bottom: &mut BottomScratch<S>,
     ) {
-        let lvl = &self.levels[level];
-        // The f32-chain Chebyshev configuration runs the *entire* cycle
-        // below this interface on f32 vectors: narrow the residual once
-        // here, recurse all-f32, widen the correction once on the way
-        // out. The outer iteration keeps measuring true f64 residuals
-        // through the f64 top operator, so the narrowing only perturbs
-        // the preconditioner — which the flexible PCG absorbs. (CG inner
-        // chains keep the mixed path: f32 storage, f64 vectors.)
-        if lvl.trace32.is_some() && matches!(self.options.inner_method, IterationMethod::Chebyshev)
-        {
-            bottom.shim_in32.clear();
-            bottom.shim_in32.extend(rr.iter().map(|&v| v as f32));
-            let mut rr32 = std::mem::take(&mut bottom.shim_in32);
-            let mut out32 = std::mem::take(&mut bottom.shim_out32);
-            self.precondition_rm32_into(level, &rr32, k, &mut out32, elim_ws, iter_ws, bottom);
-            out.clear();
-            out.extend(out32.iter().map(|&v| v as f64));
-            rr32.clear();
-            bottom.shim_in32 = rr32;
-            bottom.shim_out32 = out32;
-            return;
-        }
         let (mine, elim_rest) = elim_ws
             .split_first_mut()
             .expect("elimination frame per level");
-        match &lvl.trace32 {
-            Some(tr) => tr.forward_rhs_rowmajor_into(
-                rr,
-                k,
-                &mut mine.reduced,
-                &mut mine.work,
-                &mut mine.row,
-            ),
-            None => lvl.elimination.forward_rhs_rowmajor_into(
-                rr,
-                k,
-                &mut mine.reduced,
-                &mut mine.work,
-                &mut mine.row,
-            ),
-        }
+        let trace = S::trace(&self.levels, cycle, level);
+        trace.forward(rr, k, &mut mine.reduced, &mut mine.work, &mut mine.row);
         self.w_cycle_rm_into(
+            cycle,
             level + 1,
             &mine.reduced,
             k,
@@ -1774,113 +1773,32 @@ impl SolverChain {
             elim_rest,
             bottom,
         );
-        match &lvl.trace32 {
-            Some(tr) => {
-                tr.back_substitute_rowmajor_into(&mine.work, &mine.y, k, out, &mut mine.row)
-            }
-            None => lvl.elimination.back_substitute_rowmajor_into(
-                &mine.work,
-                &mine.y,
-                k,
-                out,
-                &mut mine.row,
-            ),
-        }
-    }
-
-    /// The all-f32 preconditioner application (`Precision::F32` chains
-    /// with the Chebyshev inner method): same sandwich as
-    /// [`precondition_rm_into`](Self::precondition_rm_into), every vector
-    /// in f32.
-    #[allow(clippy::too_many_arguments)]
-    fn precondition_rm32_into(
-        &self,
-        level: usize,
-        rr: &[f32],
-        k: usize,
-        out: &mut Vec<f32>,
-        elim_ws: &mut [ElimScratch],
-        iter_ws: &mut [IterScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        let lvl = &self.levels[level];
-        let (mine, elim_rest) = elim_ws
-            .split_first_mut()
-            .expect("elimination frame per level");
-        let tr = lvl
-            .trace32
-            .as_ref()
-            .expect("the all-f32 cycle requires a compiled trace");
-        tr.forward_rhs_rowmajor32_into(
-            rr,
-            k,
-            &mut mine.reduced32,
-            &mut mine.work32,
-            &mut mine.row32,
-        );
-        self.w_cycle_rm32_into(
-            level + 1,
-            &mine.reduced32,
-            k,
-            &mut mine.y32,
-            iter_ws,
-            elim_rest,
-            bottom,
-        );
-        tr.back_substitute_rowmajor32_into(&mine.work32, &mine.y32, k, out, &mut mine.row32);
-    }
-
-    /// Single-vector preconditioner application: the `k = 1` case of
-    /// [`precondition_rm`](Self::precondition_rm) — there is one W-cycle
-    /// implementation, not two.
-    fn precondition(&self, level: usize, r: &[f64]) -> Vec<f64> {
-        self.precondition_rm(level, r, 1)
+        trace.back_substitute(&mine.work, &mine.y, k, out, &mut mine.row);
     }
 
     /// One W-cycle solve of `A_i X = B` on a row-major block: the level's
-    /// fixed `k_i`-iteration Chebyshev/CG sweep (each iteration recursing
+    /// fixed `k_i`-iteration Chebyshev sweep (each iteration recursing
     /// into level `i+1` with the whole block), or the bottom solver below
     /// the last level. Uniform at every level — the top level's adaptive
     /// outer PCG is the only special case. Every column's arithmetic is
     /// exactly the `k = 1` cycle's, so `solve_many` answers match looped
     /// `solve` calls bitwise.
     #[allow(clippy::too_many_arguments)]
-    fn w_cycle_rm_into(
+    fn w_cycle_rm_into<S: CycleScalar>(
         &self,
+        cycle: &Cycle<S>,
         level: usize,
-        br: &[f64],
+        br: &[S],
         k: usize,
-        out: &mut Vec<f64>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
+        out: &mut Vec<S>,
+        iter_ws: &mut [IterScratch<S>],
+        elim_ws: &mut [ElimScratch<S>],
+        bottom: &mut BottomScratch<S>,
     ) {
         if level >= self.levels.len() {
-            self.bottom_solve_rm_into(br, k, Self::PRECOND_BOTTOM_TOL, out, bottom);
-            return;
-        }
-        let lvl = &self.levels[level];
-        match self.options.inner_method {
-            IterationMethod::Chebyshev => self.chebyshev_fixed_rm_into(
-                level,
-                br,
-                k,
-                lvl.inner_iterations,
-                out,
-                iter_ws,
-                elim_ws,
-                bottom,
-            ),
-            IterationMethod::ConjugateGradient => self.pcg_fixed_rm_into(
-                level,
-                br,
-                k,
-                lvl.inner_iterations,
-                out,
-                iter_ws,
-                elim_ws,
-                bottom,
-            ),
+            self.bottom_solve_rm_into(cycle, br, k, Self::PRECOND_BOTTOM_TOL, out, bottom);
+        } else {
+            self.chebyshev_fixed_rm_into(cycle, level, br, k, out, iter_ws, elim_ws, bottom);
         }
     }
 
@@ -1894,47 +1812,18 @@ impl SolverChain {
     /// level `i` (elimination + inexact recursive solve of `A_{i+1}` +
     /// back-substitution) depends only on levels below `i`, so calibrating
     /// deepest-first is well defined; the measurement itself is
-    /// [`spectrum_bounds_of_map`] on `v ↦ M_i⁻¹ A_i v`.
+    /// [`spectrum_bounds_of_map`] on `v ↦ M_i⁻¹ A_i v`, run through the
+    /// chain's stored operators at their storage width.
     fn calibrate_chebyshev_bounds(&mut self) {
-        const POWER_ITERS: usize = 14;
         // Level 0 is driven by the adaptive outer flexible PCG, which needs
-        // no spectrum interval — only levels >= 1 run the fixed Chebyshev/CG
+        // no spectrum interval — only levels >= 1 run the fixed Chebyshev
         // inner iteration. Skipping level 0 avoids the most expensive
         // calibration pass (two power iterations through the full recursion
         // on the largest graph); its cheb_bounds keep the provisional value.
         for level in (1..self.levels.len()).rev() {
-            let n = self.levels[level].n();
-            if n == 0 {
-                continue;
-            }
-            // `build_chain` calibrates before dropping graphs, so the
-            // component labelling always has its CSR — and the matrix
-            // applied below is the (possibly demoted) operator the inner
-            // iteration will actually run on.
-            let comps = parsdd_graph::components::parallel_connected_components(
-                self.levels[level]
-                    .graph
-                    .as_ref()
-                    .expect("calibration runs before level graphs are dropped"),
-            );
-            let seed = self
-                .options
-                .seed
-                .wrapping_add(0x51ab_0000 + level as u64)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let bounds = {
-                let this: &SolverChain = self;
-                let mut av = vec![0.0; n];
-                spectrum_bounds_of_map(
-                    n,
-                    |v| {
-                        this.levels[level].matrix.apply(v, &mut av);
-                        this.precondition(level, &av)
-                    },
-                    |x| project_out_componentwise_constant(x, &comps.labels, comps.count),
-                    POWER_ITERS,
-                    seed,
-                )
+            let bounds = match &self.tier {
+                Tier::F64(cycle) => self.measure_spectrum(cycle, level),
+                Tier::F32(cycle) => self.measure_spectrum(cycle, level),
             };
             let Some((lambda_min, lambda_max)) = bounds else {
                 // Degenerate level (e.g. edgeless): keep provisional bounds.
@@ -1960,31 +1849,89 @@ impl SolverChain {
         }
     }
 
+    /// Power-iteration bounds of level `level`'s effective preconditioned
+    /// operator `M⁻¹A` (`None` for degenerate levels). The map narrows
+    /// each f64 probe to the cycle's width, applies the stored matrix and
+    /// the W-cycle below, and widens the result; `M⁻¹A` is invariant under
+    /// the chain scale, so no scale is undone here.
+    fn measure_spectrum<S: CycleScalar>(
+        &self,
+        cycle: &Cycle<S>,
+        level: usize,
+    ) -> Option<(f64, f64)> {
+        const POWER_ITERS: usize = 14;
+        let n = self.levels[level].n();
+        if n == 0 {
+            return None;
+        }
+        // `build_chain` calibrates before dropping graphs, so the
+        // component labelling always has its CSR.
+        let comps = parsdd_graph::components::parallel_connected_components(
+            self.levels[level]
+                .graph
+                .as_ref()
+                .expect("calibration runs before level graphs are dropped"),
+        );
+        let seed = self
+            .options
+            .seed
+            .wrapping_add(0x51ab_0000 + level as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let matrix = &cycle.matrices[level - 1];
+        let mut av = vec![S::ZERO; n];
+        self.with_workspace(|ws| {
+            spectrum_bounds_of_map(
+                n,
+                |v| {
+                    let mut out = Vec::new();
+                    S::at_width(ws, v, &mut out, 1.0, |v, z, frames| {
+                        matrix.apply(v, &mut av);
+                        self.precondition_rm_into(
+                            cycle,
+                            level,
+                            &av,
+                            1,
+                            z,
+                            &mut frames.elim[level..],
+                            &mut frames.iter[level + 1..],
+                            &mut frames.bottom,
+                        );
+                    });
+                    out
+                },
+                |x| project_out_componentwise_constant(x, &comps.labels, comps.count),
+                POWER_ITERS,
+                seed,
+            )
+        })
+    }
+
     /// Fixed-iteration preconditioned Chebyshev on a row-major block at a
     /// given level (the rPCh inner iteration of Lemma 6.7). The
     /// recurrence scalars depend only on the level's calibrated interval,
-    /// so the whole block shares them, and each iteration is **two**
-    /// passes plus the recursion: the `p ← z + β·p` elementwise update,
-    /// and one fused matrix sweep
+    /// so the whole block shares them; they are computed in f64 (O(1)
+    /// scalar work per iteration whose accuracy steers the polynomial)
+    /// and rounded to the cycle's width once per iteration. Each
+    /// iteration is **two** passes plus the recursion: the `p ← z + β·p`
+    /// elementwise update, and one fused matrix sweep
     /// ([`PermutedLevel::cheb_fused_sweep`]) that applies `x ← x + α·p`,
     /// `r ← r − α·(A p)` while streaming the level's merged rows once —
-    /// `A·p` is never materialised. (The unfused form was five passes:
-    /// p-update, x-axpy, SpMV write, r-axpy read, plus the separate diag
-    /// stream.) Per-element arithmetic is identical at every block width
-    /// and pool width.
+    /// `A·p` is never materialised. Per-element arithmetic is identical at
+    /// every block width and pool width.
     #[allow(clippy::too_many_arguments)]
-    fn chebyshev_fixed_rm_into(
+    fn chebyshev_fixed_rm_into<S: CycleScalar>(
         &self,
+        cycle: &Cycle<S>,
         level: usize,
-        br: &[f64],
+        br: &[S],
         k: usize,
-        iterations: usize,
-        out: &mut Vec<f64>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
+        out: &mut Vec<S>,
+        iter_ws: &mut [IterScratch<S>],
+        elim_ws: &mut [ElimScratch<S>],
+        bottom: &mut BottomScratch<S>,
     ) {
         let lvl = &self.levels[level];
+        let matrix = &cycle.matrices[level - 1];
         // Spectrum bounds of the effective preconditioned operator,
         // calibrated at build time (see `calibrate_chebyshev_bounds`).
         let (lambda_min, lambda_max) = lvl.cheb_bounds;
@@ -1996,161 +1943,24 @@ impl SolverChain {
         // The accumulator starts at zero (semantic, not hygiene); r is a
         // copy of the rhs; p is fully overwritten before first read.
         out.clear();
-        out.resize(br.len(), 0.0);
+        out.resize(br.len(), S::ZERO);
         mine.r.clear();
         mine.r.extend_from_slice(br);
-        match &lvl.matrix {
-            LevelMatrix::F64(matrix) => {
-                mine.p.resize(br.len(), 0.0);
-                let mut alpha = 0.0f64;
-                for it in 0..iterations {
-                    self.precondition_rm_into(
-                        level,
-                        &mine.r,
-                        k,
-                        &mut mine.z,
-                        elim_ws,
-                        iter_rest,
-                        bottom,
-                    );
-                    if it == 0 {
-                        mine.p.copy_from_slice(&mine.z);
-                        alpha = 1.0 / theta;
-                    } else {
-                        let beta = if it == 1 {
-                            0.5 * (delta * alpha) * (delta * alpha)
-                        } else {
-                            (delta * alpha / 2.0) * (delta * alpha / 2.0)
-                        };
-                        alpha = 1.0 / (theta - beta / alpha);
-                        for (pi, zi) in mine.p.iter_mut().zip(&mine.z) {
-                            *pi = zi + beta * *pi;
-                        }
-                    }
-                    matrix.cheb_fused_sweep(alpha, &mine.p, out, &mut mine.r, k);
-                }
-            }
-            LevelMatrix::F32(matrix) => {
-                // Same recurrence, but the direction block lives in f32:
-                // the update runs in f64 (`z + β·p`) and narrows once per
-                // entry, so the fused sweep's gather of `p` — the hot
-                // stream besides the matrix itself — moves half the
-                // bytes. x and r stay f64.
-                mine.p32.resize(br.len(), 0.0);
-                let mut alpha = 0.0f64;
-                for it in 0..iterations {
-                    self.precondition_rm_into(
-                        level,
-                        &mine.r,
-                        k,
-                        &mut mine.z,
-                        elim_ws,
-                        iter_rest,
-                        bottom,
-                    );
-                    if it == 0 {
-                        for (pi, zi) in mine.p32.iter_mut().zip(&mine.z) {
-                            *pi = *zi as f32;
-                        }
-                        alpha = 1.0 / theta;
-                    } else {
-                        let beta = if it == 1 {
-                            0.5 * (delta * alpha) * (delta * alpha)
-                        } else {
-                            (delta * alpha / 2.0) * (delta * alpha / 2.0)
-                        };
-                        alpha = 1.0 / (theta - beta / alpha);
-                        for (pi, zi) in mine.p32.iter_mut().zip(&mine.z) {
-                            *pi = (zi + beta * f64::from(*pi)) as f32;
-                        }
-                    }
-                    matrix.cheb_fused_sweep(alpha, &mine.p32, out, &mut mine.r, k);
-                }
-            }
-        }
-    }
-
-    /// The W-cycle recursion step of the all-f32 inner cycle. Only the
-    /// Chebyshev inner method enters this width (the shim in
-    /// [`precondition_rm_into`](Self::precondition_rm_into) guards on
-    /// it), so there is no CG arm here.
-    #[allow(clippy::too_many_arguments)]
-    fn w_cycle_rm32_into(
-        &self,
-        level: usize,
-        br: &[f32],
-        k: usize,
-        out: &mut Vec<f32>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        if level >= self.levels.len() {
-            self.bottom_solve_rm32_into(br, k, out, bottom);
-            return;
-        }
-        let lvl = &self.levels[level];
-        self.chebyshev_fixed_rm32_into(
-            level,
-            br,
-            k,
-            lvl.inner_iterations,
-            out,
-            iter_ws,
-            elim_ws,
-            bottom,
-        );
-    }
-
-    /// [`chebyshev_fixed_rm_into`](Self::chebyshev_fixed_rm_into) at f32
-    /// vector width. The recurrence scalars stay in f64 — they are
-    /// O(iterations) scalar operations and their accuracy steers the
-    /// polynomial — and β is narrowed once per iteration for the
-    /// elementwise p-update; x, r, z, p all stream in f32, halving the
-    /// elementwise traffic on top of the halved matrix stream.
-    #[allow(clippy::too_many_arguments)]
-    fn chebyshev_fixed_rm32_into(
-        &self,
-        level: usize,
-        br: &[f32],
-        k: usize,
-        iterations: usize,
-        out: &mut Vec<f32>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        let lvl = &self.levels[level];
-        let (lambda_min, lambda_max) = lvl.cheb_bounds;
-        let theta = 0.5 * (lambda_max + lambda_min);
-        let delta = 0.5 * (lambda_max - lambda_min);
-        let (mine, iter_rest) = iter_ws
-            .split_first_mut()
-            .expect("iteration frame per level");
-        out.clear();
-        out.resize(br.len(), 0.0);
-        mine.r32.clear();
-        mine.r32.extend_from_slice(br);
-        // Demotion stores every level ≥ 1 of an f32 chain as an f32
-        // matrix alongside its compiled trace; the shim only admits such
-        // chains, so this arm is total here.
-        let LevelMatrix::F32(matrix) = &lvl.matrix else {
-            unreachable!("all-f32 cycle on a level without a demoted matrix")
-        };
-        mine.p32.resize(br.len(), 0.0);
+        mine.p.resize(br.len(), S::ZERO);
         let mut alpha = 0.0f64;
-        for it in 0..iterations {
-            self.precondition_rm32_into(
+        for it in 0..lvl.inner_iterations {
+            self.precondition_rm_into(
+                cycle,
                 level,
-                &mine.r32,
+                &mine.r,
                 k,
-                &mut mine.z32,
+                &mut mine.z,
                 elim_ws,
                 iter_rest,
                 bottom,
             );
             if it == 0 {
-                mine.p32.copy_from_slice(&mine.z32);
+                mine.p.copy_from_slice(&mine.z);
                 alpha = 1.0 / theta;
             } else {
                 let beta = if it == 1 {
@@ -2159,93 +1969,12 @@ impl SolverChain {
                     (delta * alpha / 2.0) * (delta * alpha / 2.0)
                 };
                 alpha = 1.0 / (theta - beta / alpha);
-                let bf = beta as f32;
-                for (pi, zi) in mine.p32.iter_mut().zip(&mine.z32) {
-                    *pi = zi + bf * *pi;
+                let beta = S::from_f64(beta);
+                for (pi, &zi) in mine.p.iter_mut().zip(&mine.z) {
+                    *pi = zi + beta * *pi;
                 }
             }
-            matrix.cheb_fused_sweep32(alpha, &mine.p32, out, &mut mine.r32, k);
-        }
-    }
-
-    /// Fixed-iteration (flexible) PCG on a row-major block at a given
-    /// level — the ablation alternative to Chebyshev. The CG scalars are
-    /// data-dependent, so each column carries its own recurrence
-    /// ([`dot_strided`] runs the same per-column reduction tree at every
-    /// width); a column that breaks down (zero direction energy) freezes
-    /// while the rest of the block keeps iterating.
-    #[allow(clippy::too_many_arguments)]
-    fn pcg_fixed_rm_into(
-        &self,
-        level: usize,
-        br: &[f64],
-        k: usize,
-        iterations: usize,
-        out: &mut Vec<f64>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        let lvl = &self.levels[level];
-        let n = lvl.n();
-        let (mine, iter_rest) = iter_ws
-            .split_first_mut()
-            .expect("iteration frame per level");
-        out.clear();
-        out.resize(br.len(), 0.0);
-        let x = &mut *out;
-        mine.r.clear();
-        mine.r.extend_from_slice(br);
-        self.precondition_rm_into(level, &mine.r, k, &mut mine.z, elim_ws, iter_rest, bottom);
-        mine.p.clear();
-        mine.p.extend_from_slice(&mine.z);
-        mine.rz.clear();
-        for j in 0..k {
-            mine.rz.push(dot_strided(&mine.r, &mine.z, k, j));
-        }
-        mine.live.clear();
-        mine.live.resize(k, true);
-        mine.ap.resize(br.len(), 0.0);
-        for _ in 0..iterations {
-            for (j, l) in mine.live.iter_mut().enumerate() {
-                if *l && mine.rz[j].abs() < 1e-300 {
-                    *l = false;
-                }
-            }
-            if mine.live.iter().all(|l| !l) {
-                break;
-            }
-            lvl.matrix.apply_rowmajor(&mine.p, &mut mine.ap, k);
-            mine.alphas.clear();
-            mine.alphas.resize(k, 0.0);
-            for (j, l) in mine.live.iter_mut().enumerate() {
-                if !*l {
-                    continue;
-                }
-                let pap = dot_strided(&mine.p, &mine.ap, k, j);
-                if pap <= 0.0 || !pap.is_finite() {
-                    *l = false;
-                    continue;
-                }
-                mine.alphas[j] = mine.rz[j] / pap;
-                let alpha = mine.alphas[j];
-                for i in 0..n {
-                    x[i * k + j] += alpha * mine.p[i * k + j];
-                    mine.r[i * k + j] -= alpha * mine.ap[i * k + j];
-                }
-            }
-            self.precondition_rm_into(level, &mine.r, k, &mut mine.z, elim_ws, iter_rest, bottom);
-            for (j, &l) in mine.live.iter().enumerate() {
-                if !l {
-                    continue;
-                }
-                let rz_new = dot_strided(&mine.r, &mine.z, k, j);
-                let beta = rz_new / mine.rz[j];
-                mine.rz[j] = rz_new;
-                for i in 0..n {
-                    mine.p[i * k + j] = mine.z[i * k + j] + beta * mine.p[i * k + j];
-                }
-            }
+            matrix.cheb_fused_sweep(alpha, &mine.p, out, &mut mine.r, k);
         }
     }
 
@@ -2264,11 +1993,7 @@ impl SolverChain {
     /// ladder uses this to measure residuals of candidate iterates
     /// without materialising a second Laplacian operator.
     pub fn apply_top(&self, x: &[f64]) -> Vec<f64> {
-        let top_matrix: &PermutedLevel = if let Some(l) = self.levels.first() {
-            l.matrix.as_f64()
-        } else {
-            &self.bottom_matrix
-        };
+        let top_matrix = self.top_operator();
         let n = top_matrix.n();
         assert_eq!(x.len(), n, "vector has wrong dimension");
         let xi = permute_into(x, &self.top_perm);
@@ -2305,7 +2030,7 @@ impl SolverChain {
     /// internal index space — the preconditioner is called on the working
     /// residual directly (no per-iteration `to_rowmajor`/`from_rowmajor`),
     /// the matrix pass returns `pᵀAp` fused
-    /// ([`PermutedLevel::fused_apply_dot`]), and the Polak–Ribière
+    /// ([`PermutedLevel::fused_apply_dot_into`]), and the Polak–Ribière
     /// numerator uses `r_new − r_old = −α·(A p)` (an identity of the
     /// residual update in exact arithmetic, equal up to rounding in
     /// floating point), so no `r_old` copy or difference pass exists.
@@ -2341,12 +2066,7 @@ impl SolverChain {
         max_iterations: usize,
         ws: &mut ChainWorkspace,
     ) -> Vec<SolveOutcome> {
-        let ChainWorkspace { elim, iter, bottom } = ws;
-        let top_matrix: &PermutedLevel = if let Some(l) = self.levels.first() {
-            l.matrix.as_f64()
-        } else {
-            &self.bottom_matrix
-        };
+        let top_matrix = self.top_operator();
         let n = top_matrix.n();
         assert_eq!(b.nrows(), n, "right-hand side has wrong dimension");
         let k = b.ncols();
@@ -2385,12 +2105,12 @@ impl SolverChain {
                 let ka = active.len();
                 let ba = compact_columns_rm(&rr, k, &active);
                 let mut xa = Vec::new();
-                self.bottom_solve_rm_into(
+                self.apply_preconditioner(
                     &ba,
                     ka,
                     (tol * 0.1).clamp(1e-14, Self::PRECOND_BOTTOM_TOL),
                     &mut xa,
-                    bottom,
+                    ws,
                 );
                 let mut diff = vec![0.0f64; n * ka];
                 self.bottom_matrix.apply_rowmajor(&xa, &mut diff, ka);
@@ -2462,7 +2182,7 @@ impl SolverChain {
         let mut breakdowns: Vec<Option<BreakdownReason>> = vec![None; k];
         let mut r = compact_columns_rm(&rr, k, &active);
         let mut z = Vec::new();
-        self.precondition_rm_into(0, &r, active.len(), &mut z, elim, &mut iter[1..], bottom);
+        self.apply_preconditioner(&r, active.len(), Self::PRECOND_BOTTOM_TOL, &mut z, ws);
         let mut p = z.clone();
         let mut rz: Vec<f64> = colwise_dots_rm(&r, &z, active.len());
         let mut ap = vec![0.0f64; n * active.len()];
@@ -2572,7 +2292,7 @@ impl SolverChain {
                     rrow[c] -= alphas[c] * aprow[c];
                 }
             }
-            self.precondition_rm_into(0, &r, ka, &mut z, elim, &mut iter[1..], bottom);
+            self.apply_preconditioner(&r, ka, Self::PRECOND_BOTTOM_TOL, &mut z, ws);
             // Flexible (Polak–Ribière) beta tolerates the slightly varying
             // preconditioner produced by the recursion. The numerator
             // `(r_new − r_old)ᵀ z` uses r_new − r_old = −α·(A p) — an
@@ -2709,12 +2429,8 @@ impl Preconditioner for ChainPreconditioner<'_> {
         // External surface: callers work in the original vertex order, the
         // chain in its baked-in internal order — permute at the boundary.
         let rp = permute_into(r, &self.chain.top_perm);
-        let out = if self.chain.levels.is_empty() {
-            self.chain
-                .bottom_solve(&rp, SolverChain::PRECOND_BOTTOM_TOL)
-        } else {
-            self.chain.precondition(0, &rp)
-        };
+        let mut out = Vec::new();
+        self.chain.precondition_block_rm(&rp, 1, &mut out);
         z.copy_from_slice(&permute_back(&out, &self.chain.top_perm));
     }
 
@@ -2726,12 +2442,8 @@ impl Preconditioner for ChainPreconditioner<'_> {
     fn precondition_block(&self, r: &MultiVector, z: &mut MultiVector) {
         let perm = &self.chain.top_perm;
         let rp = gather_block_rm(r, perm);
-        let out = if self.chain.levels.is_empty() {
-            self.chain
-                .bottom_solve_rm(&rp, r.ncols(), SolverChain::PRECOND_BOTTOM_TOL)
-        } else {
-            self.chain.precondition_rm(0, &rp, r.ncols())
-        };
+        let mut out = Vec::new();
+        self.chain.precondition_block_rm(&rp, r.ncols(), &mut out);
         scatter_block_rm(&out, perm, z);
     }
 }
@@ -2822,17 +2534,6 @@ mod tests {
         let base = generators::grid2d(30, 30, |_, _| 1.0);
         let g = generators::with_power_law_weights(&base, 6, 7);
         let opts = ChainOptions::default();
-        check_solve(&g, &opts, 1e-8);
-    }
-
-    #[test]
-    fn pcg_inner_method_also_converges() {
-        let g = generators::grid2d(28, 28, |_, _| 1.0);
-        let opts = ChainOptions {
-            inner_method: IterationMethod::ConjugateGradient,
-            bottom_size: 200,
-            ..Default::default()
-        };
         check_solve(&g, &opts, 1e-8);
     }
 

@@ -8,9 +8,9 @@
 //!    envelope — the flexible outer PCG absorbs the approximate
 //!    preconditioner.
 //! 2. The f32 path is itself bitwise-reproducible across pool widths
-//!    {1, 2, 4} — every kernel (f64-accumulating or all-f32) uses a
-//!    fixed width-independent reduction tree — and batched solves match
-//!    looped single solves bitwise.
+//!    {1, 2, 4} — every kernel of the f32 cycle uses a fixed
+//!    width-independent reduction tree — and batched solves match looped
+//!    single solves bitwise.
 //! 3. The f64 default is bitwise-identical with the knob absent and with
 //!    it explicitly set to `F64` — the determinism-pinned path gains no
 //!    new behavior.
@@ -18,6 +18,9 @@
 //!    CSR graphs after calibration, so each demoted f32 level holds
 //!    ≤ 0.72× the matrix-stream bytes of its f64 counterpart (level 0
 //!    stays f64 on both tiers and is byte-identical).
+//! 5. The f32 tier is weight-scale invariant: the f32 operators are
+//!    stored at one power-of-two chain scale, so conductances near 1e36
+//!    or 1e-40 converge like unscaled ones, with no recovery rung.
 
 use parsdd_bench::zoo::{self, Tier};
 use parsdd_graph::parutil::with_threads;
@@ -181,5 +184,51 @@ fn f64_default_unchanged_with_knob_absent_or_explicit() {
             "level CSRs are dropped after calibration"
         );
         assert_eq!(lvl.storage_precision(), Precision::F64);
+    }
+}
+
+/// The f32 tier is weight-scale invariant: multiplying every conductance
+/// by a constant far outside f32's range (×1e36 and ×1e39 overflow the
+/// products and the factor's pivots, ×1e-40 underflows the coefficients)
+/// must not change how the f32 chain converges. The chain stores its f32
+/// operators at one power-of-two scale, so the scaled solves need no
+/// recovery rung and stay within 10% of the unscaled solve's iterations.
+#[test]
+fn f32_chain_is_weight_scale_invariant() {
+    use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
+    let opts = SddSolverOptions::default()
+        .with_tolerance(TOLERANCE)
+        .with_chain(ChainOptions::default().with_precision(Precision::F32));
+    let run = |scale: f64| {
+        let g = parsdd_graph::generators::grid2d(64, 64, |x, y| {
+            (1.0 + ((3 * x + y) % 5) as f64) * scale
+        });
+        let solver = SddSolver::new_laplacian(&g, opts);
+        assert!(solver.chain().depth() >= 1, "the f32 tier needs levels");
+        solver
+            .try_solve(&rhs(g.n(), 5))
+            .unwrap_or_else(|e| panic!("×{scale:e}: {e:?}"))
+    };
+    let base = run(1.0);
+    assert!(base.recovery.is_empty(), "unscaled run needed recovery");
+    for scale in [1e36, 1e39, 1e-40] {
+        let out = run(scale);
+        eprintln!(
+            "[precision scale ×{scale:e}] it={} (unscaled {}) rungs={}",
+            out.iterations,
+            base.iterations,
+            out.recovery.len()
+        );
+        assert!(
+            out.recovery.is_empty(),
+            "×{scale:e}: needed {} recovery rungs",
+            out.recovery.len()
+        );
+        assert!(out.converged && out.relative_residual <= TOLERANCE);
+        let (it, it0) = (out.iterations as f64, base.iterations as f64);
+        assert!(
+            (it - it0).abs() <= 0.1 * it0,
+            "×{scale:e}: {it} iterations vs {it0} unscaled"
+        );
     }
 }
