@@ -10,7 +10,6 @@
 //! escape the serial add latency.
 
 use std::fmt::Debug;
-use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 mod sealed {
@@ -25,9 +24,7 @@ pub trait Scalar:
     sealed::Sealed
     + Copy
     + Debug
-    + Default
     + PartialEq
-    + PartialOrd
     + Send
     + Sync
     + 'static
@@ -37,7 +34,6 @@ pub trait Scalar:
     + Div<Output = Self>
     + AddAssign
     + SubAssign
-    + Sum
 {
     /// Additive identity.
     const ZERO: Self;

@@ -1694,28 +1694,32 @@ impl SolverChain {
         out: &mut Vec<S>,
         scratch: &mut BottomScratch<S>,
     ) {
-        if let BottomSolver::Trivial = cycle.bottom {
-            out.clear();
-            out.resize(br.len(), S::ZERO);
-            return;
-        }
-        let rhs = &mut scratch.rhs;
-        rhs.clear();
-        rhs.extend_from_slice(br);
-        project_out_componentwise_rows_with(
-            rhs,
-            k,
-            &self.bottom_labels,
-            self.bottom_components,
-            &mut scratch.proj_sums,
-            &mut scratch.proj_sizes,
-        );
+        let project_into_rhs = |scratch: &mut BottomScratch<S>| {
+            scratch.rhs.clear();
+            scratch.rhs.extend_from_slice(br);
+            project_out_componentwise_rows_with(
+                &mut scratch.rhs,
+                k,
+                &self.bottom_labels,
+                self.bottom_components,
+                &mut scratch.proj_sums,
+                &mut scratch.proj_sizes,
+            );
+        };
         match &cycle.bottom {
-            BottomSolver::Direct(env) => env.solve_rowmajor_into(rhs, k, out),
+            BottomSolver::Trivial => {
+                out.clear();
+                out.resize(br.len(), S::ZERO);
+            }
+            BottomSolver::Direct(env) => {
+                project_into_rhs(scratch);
+                env.solve_rowmajor_into(&scratch.rhs, k, out);
+            }
             BottomSolver::Iterative => {
+                project_into_rhs(scratch);
                 let op = parsdd_linalg::laplacian::LaplacianOp::new(&self.bottom_graph);
                 let jac = parsdd_linalg::jacobi::JacobiPreconditioner::from_laplacian(&op);
-                let wide: Vec<f64> = rhs.iter().map(|v| v.to_f64()).collect();
+                let wide: Vec<f64> = scratch.rhs.iter().map(|v| v.to_f64()).collect();
                 let outs = parsdd_linalg::cg::block_pcg_solve(
                     &op,
                     &jac,
@@ -1731,7 +1735,6 @@ impl SolverChain {
                 out.clear();
                 out.extend(x.iter().map(|&v| S::from_f64(v / cycle.scale)));
             }
-            BottomSolver::Trivial => unreachable!("handled above"),
         }
     }
 
