@@ -1681,7 +1681,7 @@ impl SolverChain {
     /// envelope is streamed once per block
     /// ([`EnvelopeLdl::solve_rowmajor_into`]), allocation-free in steady
     /// state at the factor's monomorphised widths; the iterative fallback
-    /// runs the blocked f64 PCG driver with per-column deflation and still
+    /// runs the blocked f64 PCG solve with per-column deflation and still
     /// allocates its CG state internally — it is the rare path where the
     /// envelope factorisation was refused, and its per-solve cost dwarfs
     /// the allocations.
