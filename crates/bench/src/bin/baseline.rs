@@ -803,8 +803,16 @@ fn main() {
     }
 
     // Workload-zoo chain-quality stats (null when the --experiments
-    // filter skipped the zoo).
+    // filter skipped the zoo). The zoo runs on the ambient pool, so its
+    // host record carries that pool's width next to the CPU count — the
+    // zoo is regenerated on its own, and the top-level `machine` may
+    // describe an older run.
     if let Some(records) = &zoo_records {
+        let _ = writeln!(
+            json,
+            "  \"zoo_host\": {{ \"cpus\": {hw}, \"pool_width\": {} }},",
+            rayon::current_num_threads()
+        );
         json.push_str("  \"zoo\": [\n");
         for (i, r) in records.iter().enumerate() {
             let q = &r.run.quality;
@@ -862,6 +870,7 @@ fn main() {
         }
         json.push_str("  ],\n");
     } else {
+        json.push_str("  \"zoo_host\": null,\n");
         json.push_str("  \"zoo\": null,\n");
     }
 

@@ -97,8 +97,10 @@ pub fn build(family: &str, tier: Tier) -> Graph {
 /// at 24³ and 75 951×m at 32³ (depth 9–10, 65k–262k recursion leaves).
 /// The adaptive schedule derives the level's tree scale and sample budget
 /// from its measured stretch and produces one genuinely sparsifying level
-/// over an iterative bottom (≈3 200×m at 32³) — the case the adaptive
-/// selection exists for, pinned here so it cannot rot.
+/// whose reduced system is still far above `dense_bottom_limit`, so
+/// `build_chain` drops that level and the case is solved as a zero-level
+/// Jacobi chain (one Jacobi-PCG at the top). The override stays pinned so
+/// the adaptive schedule keeps running on a large 3D stencil.
 pub fn chain_options(family: &str, tier: Tier) -> ChainOptions {
     let mut options = match (family, tier) {
         ("lattice3d", Tier::Large) => ChainOptions::default().with_adaptive(),
@@ -135,6 +137,11 @@ pub struct ZooRun {
     pub stalled: bool,
 }
 
+/// The deterministic balanced right-hand side [`run`] solves on `g`.
+pub fn rhs(g: &Graph) -> Vec<f64> {
+    crate::workloads::rhs(g.n(), 7)
+}
+
 /// Builds the chain for `g` under `options` (use [`chain_options`] for
 /// the registry's per-case choice), solves one deterministic balanced
 /// right-hand side to `tolerance`, and returns the quality report plus the
@@ -143,7 +150,7 @@ pub fn run(g: &Graph, options: ChainOptions, tolerance: f64) -> ZooRun {
     let mut solver_options = SddSolverOptions::default().with_tolerance(tolerance);
     solver_options.chain = options;
     let solver = SddSolver::new_laplacian(g, solver_options);
-    let b = crate::workloads::rhs(g.n(), 7);
+    let b = rhs(g);
     let out = solver.solve(&b);
     let stalled = matches!(
         out.breakdown,

@@ -48,12 +48,15 @@ use parsdd_graph::reorder::{identity_order, rcm_order, relabel};
 use parsdd_graph::{EdgeId, Graph};
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
+use parsdd_linalg::cg::{block_pcg_solve, pcg_solve, CgOptions};
 use parsdd_linalg::envelope::EnvelopeLdl;
-use parsdd_linalg::operator::Preconditioner;
+use parsdd_linalg::jacobi::JacobiPreconditioner;
+use parsdd_linalg::laplacian::LaplacianOp;
+use parsdd_linalg::operator::{LinearOperator, Preconditioner};
 use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::power::{quadratic_form_ratio_bounds, spectrum_bounds_of_map};
 use parsdd_linalg::vector::{
-    colwise_dots_rm, colwise_dots_rm_into, project_out_componentwise_constant,
+    axpy, colwise_dots_rm, colwise_dots_rm_into, norm2, project_out_componentwise_constant,
     project_out_componentwise_rows, project_out_componentwise_rows_with,
 };
 use parsdd_linalg::Scalar;
@@ -187,8 +190,11 @@ pub struct ChainOptions {
     /// Terminate once a level has at most `m^bottom_exponent` vertices,
     /// where `m` is the edge count of the *input* (Section 6.3 uses 1/3).
     pub bottom_exponent: f64,
-    /// Largest bottom system that is factored densely; larger bottoms fall
-    /// back to an iterative bottom solver.
+    /// Largest bottom system that is factored directly (Fact 6.4). A
+    /// recursion that ends on a larger non-empty system drops its levels:
+    /// the chain becomes a zero-level chain over the permuted input, solved
+    /// by one Jacobi-PCG at the top — a Krylov solve is never nested inside
+    /// a preconditioner application.
     pub dense_bottom_limit: usize,
     /// Maximum number of chain levels (a backstop; the data-driven
     /// `min_shrink` cutoff is what normally terminates the chain).
@@ -508,8 +514,10 @@ impl ChainLevel {
     }
 }
 
-/// The bottom-of-chain solver (Fact 6.4, with an iterative fallback for
-/// oversized bottoms), at the cycle's storage width `S`.
+/// The bottom-of-chain solver (Fact 6.4), at the cycle's storage width
+/// `S`. There is no iterative variant: a bottom too large to factor turns
+/// the whole chain into [`Tier::Jacobi`], so no W-cycle ever runs a Krylov
+/// solve inside itself.
 #[derive(Debug, Clone)]
 enum BottomSolver<S: Scalar> {
     /// Envelope (skyline) LDLᵀ factorisation — the paper's direct bottom
@@ -519,9 +527,6 @@ enum BottomSolver<S: Scalar> {
     /// application's byte budget). A full profile degrades to exactly the
     /// dense factorisation.
     Direct(EnvelopeLdl<S>),
-    /// Jacobi-preconditioned CG in f64, run to high accuracy (fallback
-    /// when the bottom is too large to factor).
-    Iterative,
     /// The bottom graph has no edges; the solution is zero.
     Trivial,
 }
@@ -544,7 +549,7 @@ impl<S: Scalar> BottomSolver<S> {
                 stream_bytes: env.stream_bytes(),
                 resident_bytes: env.resident_bytes(),
             }),
-            BottomSolver::Iterative | BottomSolver::Trivial => None,
+            BottomSolver::Trivial => None,
         }
     }
 }
@@ -582,7 +587,6 @@ impl<S: CycleScalar> Cycle<S> {
             traces: S::compile_traces(levels, scale),
             bottom: match bottom {
                 BottomSolver::Direct(env) => BottomSolver::Direct(env.into_scaled(scale)),
-                BottomSolver::Iterative => BottomSolver::Iterative,
                 BottomSolver::Trivial => BottomSolver::Trivial,
             },
             scale,
@@ -590,11 +594,17 @@ impl<S: CycleScalar> Cycle<S> {
     }
 }
 
-/// The chain's storage width, picked once at build time.
+/// What a preconditioner application runs, picked once at build time:
+/// the W-cycle at one storage width, or no cycle at all.
 #[derive(Debug, Clone)]
 enum Tier {
     F64(Cycle<f64>),
     F32(Cycle<f32>),
+    /// A zero-level chain over a system too large to factor: it is solved
+    /// by one Jacobi-PCG at the top ([`SolverChain::solve_block`]), and
+    /// its preconditioner is the Jacobi diagonal. Always f64, never under
+    /// a level — `build_chain` asserts it.
+    Jacobi,
 }
 
 impl Tier {
@@ -602,6 +612,7 @@ impl Tier {
         match self {
             Tier::F64(c) => c.bottom.factor_sizes(),
             Tier::F32(c) => c.bottom.factor_sizes(),
+            Tier::Jacobi => None,
         }
     }
 
@@ -610,6 +621,7 @@ impl Tier {
         match self {
             Tier::F64(c) => (c.matrices[level - 1].stream_bytes(), Precision::F64),
             Tier::F32(c) => (c.matrices[level - 1].stream_bytes(), Precision::F32),
+            Tier::Jacobi => unreachable!("a Jacobi chain has no levels"),
         }
     }
 }
@@ -855,7 +867,13 @@ impl ChainQuality {
             self.depth,
             self.bottom_vertices,
             self.bottom_edges,
-            if self.direct_bottom { "direct" } else { "iterative" },
+            if self.direct_bottom {
+                "direct"
+            } else if self.bottom_edges == 0 {
+                "trivial"
+            } else {
+                "jacobi"
+            },
             self.work_per_application,
             self.work_per_input_edge,
             self.recursion_leaves,
@@ -1012,7 +1030,9 @@ pub struct SolverChain {
 pub struct SolveOutcome {
     /// The approximate solution (mean-zero on every connected component).
     pub x: Vec<f64>,
-    /// Outer iterations performed.
+    /// Outer iterations performed. A zero-level chain reports 1 for its
+    /// direct bottom solve, or a Jacobi chain's Jacobi-PCG iterations
+    /// (residual-replacement restarts included).
     pub iterations: usize,
     /// Final relative residual `‖b − Ax‖₂ / ‖b‖₂`.
     pub relative_residual: f64,
@@ -1304,6 +1324,22 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         }
     }
 
+    // Fact 6.4's bottom is small enough to factor. A recursion that ends
+    // on a larger non-empty system would have to solve it by a Krylov
+    // method inside every preconditioner application — strictly dominated
+    // by running that Krylov method once at the top. Drop the levels: the
+    // chain becomes a zero-level Jacobi chain over the permuted input
+    // (level 0's graph, already in the top permutation's order).
+    let jacobi = current.m() > 0 && current.n() > options.dense_bottom_limit;
+    if jacobi && !levels.is_empty() {
+        current = std::mem::take(&mut levels)
+            .into_iter()
+            .next()
+            .and_then(|top| top.graph)
+            .expect("level graphs are resident during build");
+        matrices.clear();
+    }
+
     // Bottom solver. The bottom graph arrived here already in its baked-in
     // order (the top permutation when there are no levels, the last
     // elimination's relabel otherwise), so the envelope factor sees the
@@ -1313,19 +1349,20 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // under the scope (same width-independence argument as the per-level
     // passes above).
     let mut bottom_matrix_slot: Option<PermutedLevel> = None;
+    // Stays `None` on a Jacobi chain (no bottom to factor).
     let mut bottom_slot: Option<BottomSolver<f64>> = None;
     let mut comps_slot = None;
     let mut top_comps_slot = None;
     rayon::scope(|s| {
         s.spawn(|_| bottom_matrix_slot = Some(PermutedLevel::from_graph(&current)));
         s.spawn(|_| {
-            bottom_slot = Some(if current.m() == 0 {
-                BottomSolver::Trivial
-            } else if current.n() <= options.dense_bottom_limit {
-                BottomSolver::Direct(EnvelopeLdl::from_graph(&current, 1e-10))
-            } else {
-                BottomSolver::Iterative
-            });
+            if !jacobi {
+                bottom_slot = Some(if current.m() == 0 {
+                    BottomSolver::Trivial
+                } else {
+                    BottomSolver::Direct(EnvelopeLdl::from_graph(&current, 1e-10))
+                });
+            }
         });
         // Cache the component structures in the scope body: every solve
         // projects its right-hand sides with them, and recomputing an
@@ -1345,7 +1382,6 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         comps_slot = Some(comps);
     });
     let bottom_matrix = bottom_matrix_slot.expect("scope completed bottom matrix");
-    let bottom = bottom_slot.expect("scope completed bottom solver");
     let comps: parsdd_graph::components::Components =
         comps_slot.expect("scope completed components");
     let top_comps = top_comps_slot.expect("scope completed top components");
@@ -1357,12 +1393,17 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // solve caps out near 1e-7 relative.
     let mut matrices = matrices.into_iter();
     let top_matrix = matrices.next();
-    let tier = match &top_matrix {
-        Some(top) if options.precision == Precision::F32 => {
+    let tier = match (bottom_slot, &top_matrix) {
+        (None, _) => Tier::Jacobi,
+        (Some(bottom), Some(top)) if options.precision == Precision::F32 => {
             Tier::F32(Cycle::new(&levels, matrices, bottom, chain_scale(top)))
         }
-        _ => Tier::F64(Cycle::new(&levels, matrices, bottom, 1.0)),
+        (Some(bottom), _) => Tier::F64(Cycle::new(&levels, matrices, bottom, 1.0)),
     };
+    assert!(
+        levels.is_empty() || !matches!(tier, Tier::Jacobi),
+        "an iterative bottom only at depth 0"
+    );
     for (i, lvl) in levels.iter_mut().enumerate().skip(1) {
         (lvl.stream_bytes, lvl.precision) = tier.level_storage(i);
     }
@@ -1397,7 +1438,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // — every per-application sweep runs on the stored matrices — so both
     // precision tiers drop it here and a long-lived chain stops holding
     // ~2× the matrix memory it streams. (The bottom keeps its graph: the
-    // iterative fallback and the residual accounting still walk it.)
+    // Jacobi chain's solve and the residual accounting still walk it.)
     for lvl in chain.levels.iter_mut() {
         lvl.graph = None;
     }
@@ -1456,30 +1497,32 @@ impl SolverChain {
         self.top_matrix.as_ref().unwrap_or(&self.bottom_matrix)
     }
 
-    /// Estimated flops of one bottom solve (two envelope streams of the
-    /// direct factor, or the iterative fallback's worst-case budget).
+    /// Jacobi-PCG iteration budget of one round of a Jacobi chain's solve.
+    fn jacobi_budget(&self) -> usize {
+        (2 * self.bottom_graph.n()).clamp(100, 4000)
+    }
+
+    /// Estimated flops of one bottom solve: two envelope streams of the
+    /// direct factor, or — on a Jacobi chain, whose one "application" is
+    /// the whole top-level solve — the Jacobi-PCG worst-case budget.
     fn bottom_solve_cost(&self) -> f64 {
         let n = self.bottom_graph.n() as f64;
         let m = self.bottom_graph.m() as f64;
         match self.tier.bottom_factor() {
             Some(f) => 2.0 * f.nnz as f64 + 2.0 * n,
             None if self.bottom_graph.m() == 0 => 0.0,
-            None => m * (2 * self.bottom_graph.n()).clamp(100, 4000) as f64,
+            None => m * self.jacobi_budget() as f64,
         }
     }
 
     /// Bytes one bottom solve streams: both triangular passes of the
     /// direct factor plus its diagonal (at the factor's storage width),
-    /// or the iterative fallback's per-iteration graph stream times its
-    /// budget.
+    /// or a Jacobi chain's per-iteration graph stream times its budget.
     fn bottom_stream_bytes(&self) -> f64 {
         match self.tier.bottom_factor() {
             Some(f) => f.stream_bytes as f64,
             None if self.bottom_graph.m() == 0 => 0.0,
-            None => {
-                self.bottom_graph.resident_bytes() as f64
-                    * (2 * self.bottom_graph.n()).clamp(100, 4000) as f64
-            }
+            None => self.bottom_graph.resident_bytes() as f64 * self.jacobi_budget() as f64,
         }
     }
 
@@ -1596,9 +1639,10 @@ impl SolverChain {
         }
     }
 
-    /// Tolerance for iterative bottom solves that feed a preconditioner
-    /// application (the outer flexible PCG absorbs this inexactness).
-    const PRECOND_BOTTOM_TOL: f64 = 1e-8;
+    /// Residual-replacement rounds a Jacobi chain's solve may add to a
+    /// column after its first Jacobi-PCG run (see
+    /// [`Self::jacobi_solve_rm`]).
+    const MAX_RESIDUAL_REPLACEMENTS: usize = 3;
 
     /// Checks a workspace out of the pool (allocating an *empty* one only
     /// when the pool is dry — its buffers grow to steady-state size during
@@ -1632,27 +1676,31 @@ impl SolverChain {
     /// Once the chain's scratch arena is warm (one prior application of
     /// the same or larger width), this performs zero heap allocation on
     /// the sequential kernel dispatch paths — the contract pinned by
-    /// `tests/alloc.rs`.
+    /// `tests/alloc.rs`. On a Jacobi chain the preconditioner is the
+    /// Jacobi diagonal `D⁻¹`.
     pub fn precondition_block_rm(&self, rr: &[f64], k: usize, out: &mut Vec<f64>) {
-        self.with_workspace(|ws| {
-            self.apply_preconditioner(rr, k, Self::PRECOND_BOTTOM_TOL, out, ws)
-        });
+        self.with_workspace(|ws| self.apply_preconditioner(rr, k, out, ws));
     }
 
     /// Where a preconditioner application enters, the chain picks its
-    /// storage width — the one place the two tiers meet. `bottom_tol` is
-    /// the iterative bottom's tolerance on a bottom-only chain.
+    /// storage width — the one place the tiers meet.
     fn apply_preconditioner(
         &self,
         rr: &[f64],
         k: usize,
-        bottom_tol: f64,
         out: &mut Vec<f64>,
         ws: &mut ChainWorkspace,
     ) {
         match &self.tier {
-            Tier::F64(cycle) => self.apply_cycle(cycle, rr, k, bottom_tol, out, ws),
-            Tier::F32(cycle) => self.apply_cycle(cycle, rr, k, bottom_tol, out, ws),
+            Tier::F64(cycle) => self.apply_cycle(cycle, rr, k, out, ws),
+            Tier::F32(cycle) => self.apply_cycle(cycle, rr, k, out, ws),
+            Tier::Jacobi => {
+                out.clear();
+                out.extend(rr.chunks_exact(k).enumerate().flat_map(|(v, row)| {
+                    let d = self.bottom_matrix.diag(v);
+                    row.iter().map(move |&r| if d > 0.0 { r / d } else { r })
+                }));
+            }
         }
     }
 
@@ -1661,14 +1709,13 @@ impl SolverChain {
         cycle: &Cycle<S>,
         rr: &[f64],
         k: usize,
-        bottom_tol: f64,
         out: &mut Vec<f64>,
         ws: &mut ChainWorkspace,
     ) {
         S::at_width(ws, rr, out, cycle.scale, |r, z, frames| {
             let Frames { elim, iter, bottom } = frames;
             if self.levels.is_empty() {
-                self.bottom_solve_rm_into(cycle, r, k, bottom_tol, z, bottom);
+                self.bottom_solve_rm_into(cycle, r, k, z, bottom);
             } else {
                 self.precondition_rm_into(cycle, 0, r, k, z, elim, &mut iter[1..], bottom);
             }
@@ -1676,66 +1723,87 @@ impl SolverChain {
     }
 
     /// Solves the bottom system `A_d X = B` for `k` row-major right-hand
-    /// sides (to `tol` per column when iterative) into a caller-owned
-    /// output through the frame's bottom scratch. The direct factor's
-    /// envelope is streamed once per block
+    /// sides into a caller-owned output through the frame's bottom
+    /// scratch. The direct factor's envelope is streamed once per block
     /// ([`EnvelopeLdl::solve_rowmajor_into`]), allocation-free in steady
-    /// state at the factor's monomorphised widths; the iterative fallback
-    /// runs the blocked f64 PCG solve with per-column deflation and still
-    /// allocates its CG state internally — it is the rare path where the
-    /// envelope factorisation was refused, and its per-solve cost dwarfs
-    /// the allocations.
+    /// state at the factor's monomorphised widths.
     fn bottom_solve_rm_into<S: CycleScalar>(
         &self,
         cycle: &Cycle<S>,
         br: &[S],
         k: usize,
-        tol: f64,
         out: &mut Vec<S>,
         scratch: &mut BottomScratch<S>,
     ) {
-        let project_into_rhs = |scratch: &mut BottomScratch<S>| {
-            scratch.rhs.clear();
-            scratch.rhs.extend_from_slice(br);
-            project_out_componentwise_rows_with(
-                &mut scratch.rhs,
-                k,
-                &self.bottom_labels,
-                self.bottom_components,
-                &mut scratch.proj_sums,
-                &mut scratch.proj_sizes,
-            );
-        };
         match &cycle.bottom {
             BottomSolver::Trivial => {
                 out.clear();
                 out.resize(br.len(), S::ZERO);
             }
             BottomSolver::Direct(env) => {
-                project_into_rhs(scratch);
+                scratch.rhs.clear();
+                scratch.rhs.extend_from_slice(br);
+                project_out_componentwise_rows_with(
+                    &mut scratch.rhs,
+                    k,
+                    &self.bottom_labels,
+                    self.bottom_components,
+                    &mut scratch.proj_sums,
+                    &mut scratch.proj_sizes,
+                );
                 env.solve_rowmajor_into(&scratch.rhs, k, out);
             }
-            BottomSolver::Iterative => {
-                project_into_rhs(scratch);
-                let op = parsdd_linalg::laplacian::LaplacianOp::new(&self.bottom_graph);
-                let jac = parsdd_linalg::jacobi::JacobiPreconditioner::from_laplacian(&op);
-                let wide: Vec<f64> = scratch.rhs.iter().map(|v| v.to_f64()).collect();
-                let outs = parsdd_linalg::cg::block_pcg_solve(
-                    &op,
-                    &jac,
-                    &MultiVector::from_rowmajor(&wide, k),
-                    &parsdd_linalg::cg::CgOptions {
-                        max_iters: (2 * self.bottom_graph.n()).clamp(100, 4000),
-                        tol,
-                    },
-                );
-                let cols: Vec<Vec<f64>> = outs.into_iter().map(|o| o.x).collect();
-                // The cycle solves with `scale · A`.
-                let x = MultiVector::from_columns(&cols).to_rowmajor();
-                out.clear();
-                out.extend(x.iter().map(|&v| S::from_f64(v / cycle.scale)));
-            }
         }
+    }
+
+    /// Solves a Jacobi chain's system for `k` row-major right-hand sides
+    /// (internal order) by Jacobi-PCG, judged by the **true** residual:
+    /// after the blocked PCG returns, each column's `b − Ax` is recomputed,
+    /// and while it is above `tol·‖b‖` a correction is solved from that
+    /// residual and added (residual replacement, at most
+    /// [`Self::MAX_RESIDUAL_REPLACEMENTS`] rounds). The recurrence residual
+    /// PCG stops on drifts from the true one, so without the replacement a
+    /// solve could stop just above the caller's tolerance. Returns the
+    /// row-major solution and each column's Jacobi-PCG iterations, restarts
+    /// included. Every column's arithmetic is independent of the block.
+    fn jacobi_solve_rm(&self, b: &[f64], k: usize, tol: f64) -> (Vec<f64>, Vec<usize>) {
+        let op = LaplacianOp::new(&self.bottom_graph);
+        let jacobi = JacobiPreconditioner::from_laplacian(&op);
+        let options = |tol| CgOptions {
+            max_iters: self.jacobi_budget(),
+            tol,
+        };
+        let b = MultiVector::from_rowmajor(b, k);
+        let mut cols = Vec::with_capacity(k);
+        let mut iterations = Vec::with_capacity(k);
+        for (j, first) in block_pcg_solve(&op, &jacobi, &b, &options(tol))
+            .into_iter()
+            .enumerate()
+        {
+            let bj = b.col(j);
+            let bnorm = norm2(bj);
+            let (mut x, mut its) = (first.x, first.iterations);
+            for _ in 0..Self::MAX_RESIDUAL_REPLACEMENTS {
+                let mut r = op.residual(&x, bj);
+                project_out_componentwise_constant(
+                    &mut r,
+                    &self.bottom_labels,
+                    self.bottom_components,
+                );
+                let rnorm = norm2(&r);
+                if rnorm <= tol * bnorm || !rnorm.is_finite() {
+                    break;
+                }
+                // Aim the correction below the tolerance, so the sum lands
+                // inside it despite the correction's own drift.
+                let fix = pcg_solve(&op, &jacobi, &r, &options(0.5 * tol * bnorm / rnorm));
+                its += fix.iterations;
+                axpy(1.0, &fix.x, &mut x);
+            }
+            cols.push(x);
+            iterations.push(its);
+        }
+        (MultiVector::from_columns(&cols).to_rowmajor(), iterations)
     }
 
     /// Applies the level-`i` preconditioner `B_i⁻¹ R` to `k` row-major
@@ -1799,7 +1867,7 @@ impl SolverChain {
         bottom: &mut BottomScratch<S>,
     ) {
         if level >= self.levels.len() {
-            self.bottom_solve_rm_into(cycle, br, k, Self::PRECOND_BOTTOM_TOL, out, bottom);
+            self.bottom_solve_rm_into(cycle, br, k, out, bottom);
         } else {
             self.chebyshev_fixed_rm_into(cycle, level, br, k, out, iter_ws, elim_ws, bottom);
         }
@@ -1827,6 +1895,7 @@ impl SolverChain {
             let bounds = match &self.tier {
                 Tier::F64(cycle) => self.measure_spectrum(cycle, level),
                 Tier::F32(cycle) => self.measure_spectrum(cycle, level),
+                Tier::Jacobi => unreachable!("a Jacobi chain has no levels"),
             };
             let Some((lambda_min, lambda_max)) = bounds else {
                 // Degenerate level (e.g. edgeless): keep provisional bounds.
@@ -2101,20 +2170,19 @@ impl SolverChain {
         }
 
         if self.levels.is_empty() {
-            // No chain above the bottom: this result IS the final answer,
-            // so an iterative bottom must target the caller's tolerance,
-            // not the looser preconditioner-application tolerance.
+            // No chain above the bottom: this result IS the final answer —
+            // one direct bottom solve, or a Jacobi chain's one top-level
+            // Jacobi-PCG solve to the caller's tolerance.
             if !active.is_empty() {
                 let ka = active.len();
                 let ba = compact_columns_rm(&rr, k, &active);
-                let mut xa = Vec::new();
-                self.apply_preconditioner(
-                    &ba,
-                    ka,
-                    (tol * 0.1).clamp(1e-14, Self::PRECOND_BOTTOM_TOL),
-                    &mut xa,
-                    ws,
-                );
+                let (xa, column_iterations) = if let Tier::Jacobi = self.tier {
+                    self.jacobi_solve_rm(&ba, ka, tol)
+                } else {
+                    let mut xa = Vec::new();
+                    self.apply_preconditioner(&ba, ka, &mut xa, ws);
+                    (xa, vec![1; ka])
+                };
                 let mut diff = vec![0.0f64; n * ka];
                 self.bottom_matrix.apply_rowmajor(&xa, &mut diff, ka);
                 for (d, &bv) in diff.iter_mut().zip(&ba) {
@@ -2126,7 +2194,7 @@ impl SolverChain {
                     let x = (0..n).map(|i| xa[perm[i] as usize * ka + c]).collect();
                     outcomes[j] = Some(SolveOutcome {
                         x,
-                        iterations: 1,
+                        iterations: column_iterations[c],
                         relative_residual: rel,
                         converged: rel <= tol,
                         breakdown: if rel.is_finite() {
@@ -2185,7 +2253,7 @@ impl SolverChain {
         let mut breakdowns: Vec<Option<BreakdownReason>> = vec![None; k];
         let mut r = compact_columns_rm(&rr, k, &active);
         let mut z = Vec::new();
-        self.apply_preconditioner(&r, active.len(), Self::PRECOND_BOTTOM_TOL, &mut z, ws);
+        self.apply_preconditioner(&r, active.len(), &mut z, ws);
         let mut p = z.clone();
         let mut rz: Vec<f64> = colwise_dots_rm(&r, &z, active.len());
         let mut ap = vec![0.0f64; n * active.len()];
@@ -2295,7 +2363,7 @@ impl SolverChain {
                     rrow[c] -= alphas[c] * aprow[c];
                 }
             }
-            self.apply_preconditioner(&r, ka, Self::PRECOND_BOTTOM_TOL, &mut z, ws);
+            self.apply_preconditioner(&r, ka, &mut z, ws);
             // Flexible (Polak–Ribière) beta tolerates the slightly varying
             // preconditioner produced by the recursion. The numerator
             // `(r_new − r_old)ᵀ z` uses r_new − r_old = −α·(A p) — an
@@ -2495,6 +2563,52 @@ mod tests {
         let b = random_rhs(g.n());
         let out = chain.solve(&b, 1e-10, 10);
         assert!(out.converged);
+    }
+
+    #[test]
+    fn bottom_too_large_to_factor_collapses_to_a_jacobi_chain() {
+        let g = generators::watts_strogatz(800, 6, 0.1, 0x2002);
+        let deep = build_chain(&g, &ChainOptions::default());
+        assert!(deep.depth() >= 1 && deep.stats().direct_bottom);
+        // A limit just below the recursion's bottom: the levels are dropped
+        // and the input is solved by one top-level Jacobi-PCG.
+        let opts = ChainOptions {
+            dense_bottom_limit: deep.bottom_graph().n() - 1,
+            ..Default::default()
+        };
+        let chain = build_chain(&g, &opts);
+        assert_eq!(chain.depth(), 0);
+        assert_eq!(chain.bottom_graph().n(), g.n());
+        assert!(!chain.stats().direct_bottom);
+        assert!(chain.quality().summary().contains("(jacobi)"));
+        let b = random_rhs(g.n());
+        let out = chain.solve(&b, 1e-8, 300);
+        assert!(out.converged, "rel {}", out.relative_residual);
+        assert!(out.iterations > 1, "Jacobi-PCG iterations are reported");
+        let r = LaplacianOp::new(&g).residual(&out.x, &b);
+        let (rn, bn) = (
+            parsdd_linalg::vector::norm2(&r),
+            parsdd_linalg::vector::norm2(&b),
+        );
+        assert!(rn <= 1e-8 * bn, "true relative residual {}", rn / bn);
+    }
+
+    #[test]
+    fn summary_names_the_bottom_kind() {
+        let edgeless = Graph::from_edges(6, Vec::new());
+        let trivial = build_chain(&edgeless, &ChainOptions::default()).quality();
+        assert!(
+            trivial.summary().contains("(trivial)"),
+            "{}",
+            trivial.summary()
+        );
+        let grid = generators::grid2d(8, 8, |_, _| 1.0);
+        let direct = build_chain(&grid, &ChainOptions::default()).quality();
+        assert!(
+            direct.summary().contains("(direct)"),
+            "{}",
+            direct.summary()
+        );
     }
 
     #[test]
@@ -2783,9 +2897,9 @@ mod tests {
         // matrix-stream vs matrix-stream — nnz·(4+4)+offsets·4 over
         // nnz·(4+8)+offsets·4, strictly under 2/3 plus slack. Level 0
         // stays f64 on both tiers and must match exactly. (The last
-        // entry is the bottom, which keeps its f64 matrix and graph for
-        // the iterative fallback — only its envelope factor halves, so it
-        // is bounded separately.)
+        // entry is the bottom, which keeps its f64 matrix and graph at
+        // either width — only its envelope factor halves, so it is
+        // bounded separately.)
         let s64 = f64_chain.stats();
         let s32 = f32_chain.stats();
         let depth = f32_chain.depth();

@@ -308,6 +308,53 @@ proptest! {
     }
 }
 
+/// A zero-level Jacobi chain — an input too large to factor, solved by
+/// one top-level Jacobi-PCG with residual replacement — returns the same
+/// solution bits and iteration counts at widths 1, 2 and 4. The graph is
+/// large enough to cross the operator's and the reductions' parallel
+/// cutoffs.
+#[test]
+fn jacobi_chain_solve_bitwise_identical_across_widths() {
+    use parsdd_solver::chain::{build_chain, ChainOptions};
+    let g = parsdd_graph::generators::watts_strogatz(10_000, 6, 0.1, 0x2002);
+    // A bottom target of n: the recursion never starts, and the input is
+    // above `dense_bottom_limit`.
+    let options = ChainOptions {
+        bottom_size: g.n(),
+        ..ChainOptions::default()
+    };
+    let rhs = parsdd_linalg::MultiVector::from_columns(&[
+        parsdd_bench::workloads::rhs(g.n(), 3),
+        parsdd_bench::workloads::rhs(g.n(), 4),
+    ]);
+    let solve = |threads: usize| {
+        with_threads(threads, || {
+            let chain = build_chain(&g, &options);
+            assert_eq!(chain.depth(), 0);
+            assert!(!chain.stats().direct_bottom);
+            chain.solve_block(&rhs, 1e-8, 100)
+        })
+    };
+    let base = solve(1);
+    assert!(base.iter().all(|o| o.converged && o.iterations > 1));
+    for threads in [2usize, 4] {
+        for (j, (a, b)) in base.iter().zip(&solve(threads)).enumerate() {
+            assert_eq!(a.iterations, b.iterations, "column {j} at width {threads}");
+            assert_eq!(
+                a.relative_residual.to_bits(),
+                b.relative_residual.to_bits(),
+                "column {j} residual at width {threads}"
+            );
+            assert!(
+                a.x.iter()
+                    .zip(&b.x)
+                    .all(|(u, v)| u.to_bits() == v.to_bits()),
+                "column {j} solution differs at width {threads}"
+            );
+        }
+    }
+}
+
 /// The full paper pipeline — decomposition, low-stretch subgraph,
 /// preconditioner chain, and a fixed number of outer solver iterations on
 /// a grid big enough to cross every parallel cutoff — produces **bitwise

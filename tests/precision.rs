@@ -65,8 +65,8 @@ fn f32_zoo_small_converges_within_iteration_envelope() {
             f64_run.iterations
         );
         // The residency acceptance bound, per chain level (the bottom
-        // keeps its f64 matrix + graph for the iterative fallback and is
-        // only required to shrink).
+        // keeps its f64 matrix + graph at either width and is only
+        // required to shrink).
         let s64 = build_chain(&g, &opts.with_precision(Precision::F64)).stats();
         let s32 = build_chain(&g, &opts.with_precision(Precision::F32)).stats();
         let depth = s32.level_resident_bytes.len() - 1;

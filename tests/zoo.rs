@@ -2,14 +2,18 @@
 //! grid (DESIGN.md §2.4).
 //!
 //! Every family × tier in `parsdd_bench::zoo` is pinned to a quality
-//! envelope: it must converge to the 1e-8 tolerance, its chain depth must
-//! stay bounded, and its work per preconditioner application must stay
-//! within a per-family budget (expressed as a multiple of the input edge
-//! count, with ≈2× headroom over the measured value so envelopes catch
-//! regressions without flaking on incidental drift). The barbell family
-//! additionally must exercise the sparsifier's κ clamp on its medium tier
-//! — that path exists for near-disconnected inputs and would otherwise be
-//! dead in CI.
+//! envelope, and every case must converge to the 1e-8 tolerance. A case
+//! that builds a chain with levels must keep its depth bounded and its
+//! work per preconditioner application within a per-family budget
+//! (expressed as a multiple of the input edge count, with ≈2× headroom
+//! over the measured value so envelopes catch regressions without flaking
+//! on incidental drift). A case whose recursion ends above
+//! `dense_bottom_limit` is a zero-level Jacobi chain: it must have depth 0
+//! and stay within 1.25× the iterations of plain Jacobi-PCG
+//! (`parsdd_solver::baseline::solve_jacobi_pcg`) on the same right-hand
+//! side and tolerance. The barbell family additionally must exercise the
+//! sparsifier's κ clamp on its medium tier — that path exists for
+//! near-disconnected inputs and would otherwise be dead in CI.
 //!
 //! Small tiers run everywhere, including debug `cargo test`. Medium and
 //! large tiers are `#[ignore]`d and run in the release "deep-chain" CI
@@ -23,53 +27,74 @@ use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
 
 const TOLERANCE: f64 = 1e-8;
 
-/// Per-case quality envelope. `max_work_per_edge` bounds
-/// `work_per_application / m`; `min_clamp_hits` forces the κ-clamp path
-/// to stay exercised where the family is designed to hit it.
+/// Largest ratio of a zero-level Jacobi chain's iterations to plain
+/// Jacobi-PCG's on the same right-hand side and tolerance (the chain's
+/// count includes its residual-replacement restarts).
+const JACOBI_ITERATION_RATIO: f64 = 1.25;
+
+/// Per-case quality envelope.
 struct Envelope {
     family: &'static str,
     tier: Tier,
-    max_depth: usize,
-    max_iterations: usize,
-    max_work_per_edge: f64,
-    min_clamp_hits: usize,
+    shape: Shape,
+}
+
+/// What a case's chain must look like.
+enum Shape {
+    /// A chain with levels. `max_work_per_edge` bounds
+    /// `work_per_application / m`; `min_clamp_hits` forces the κ-clamp
+    /// path to stay exercised where the family is designed to hit it.
+    Levels {
+        max_depth: usize,
+        max_iterations: usize,
+        max_work_per_edge: f64,
+        min_clamp_hits: usize,
+    },
+    /// A zero-level Jacobi chain, bounded against plain Jacobi-PCG.
+    Jacobi,
 }
 
 /// Measured values (release, defaults) are recorded next to each row so a
 /// future regression is diagnosable from the diff alone.
 const ENVELOPES: &[Envelope] = &[
-    // rmat: measured depth 1/2/2, it 27/37/40, work 14.5/172.1/7969.5×m.
-    // The large tier keeps an iterative bottom (power-law cores do not
-    // eliminate well), hence the wide work budget.
+    // rmat: measured depth 1/2/0, it 27/37/23, work 14.5/172.1×m (small,
+    // medium). The large tier's recursion ends above `dense_bottom_limit`
+    // (power-law cores do not eliminate well), so it is a Jacobi chain;
+    // plain Jacobi-PCG takes 23 iterations there.
     env("rmat", Tier::Small, 3, 60, 40.0, 0),
     env("rmat", Tier::Medium, 4, 80, 400.0, 0),
-    env("rmat", Tier::Large, 4, 80, 16_000.0, 0),
-    // smallworld: measured depth 3/1/1, it 40/41/52, work 565/2641/2421×m.
+    jacobi("rmat", Tier::Large),
+    // smallworld: measured depth 3/0/0, it 40/56/48, work 565×m (small).
     // Expanders resist both elimination and sparsification; medium/large
-    // run an iterative bottom and the envelope says so honestly.
+    // recurse to bottoms too large to factor and run as Jacobi chains
+    // (plain Jacobi-PCG: 56/48 iterations).
     env("smallworld", Tier::Small, 5, 80, 1_200.0, 0),
-    env("smallworld", Tier::Medium, 3, 90, 5_500.0, 0),
-    env("smallworld", Tier::Large, 3, 110, 5_000.0, 0),
+    jacobi("smallworld", Tier::Medium),
+    jacobi("smallworld", Tier::Large),
     // road: measured depth 2/5/6, it 38/94/154, work 16.9/127.1/139.3×m.
     // Deep chains of small direct bottoms — the healthiest non-grid
     // family, so the envelopes are tight.
     env("road", Tier::Small, 4, 80, 40.0, 0),
     env("road", Tier::Medium, 7, 160, 300.0, 0),
     env("road", Tier::Large, 8, 190, 300.0, 0),
-    // lattice3d: measured depth 1/1/1, it 32/44/40, work 41.6/2925/3152×m.
-    // Degree-6 stencils starve greedy elimination, so medium falls back
-    // to an iterative bottom; the large tier runs the adaptive schedule
-    // (see `zoo::chain_options` — the fixed schedule leaf-blows-up there)
-    // and must stay in the same iterative-bottom regime.
+    // lattice3d: measured depth 1/0/0, it 32/151/229, work 41.6×m (small).
+    // Degree-6 stencils starve greedy elimination, so medium recurses to
+    // a bottom too large to factor and runs as a Jacobi chain; the large
+    // tier runs the adaptive schedule (see `zoo::chain_options` — the
+    // fixed schedule leaf-blows-up there), whose one level also ends
+    // above the limit (plain Jacobi-PCG: 151/229 iterations).
     env("lattice3d", Tier::Small, 3, 70, 90.0, 0),
-    env("lattice3d", Tier::Medium, 3, 90, 6_000.0, 0),
-    env("lattice3d", Tier::Large, 3, 90, 6_500.0, 0),
-    // barbell: measured depth 1/6/1, it 24/45/35, work 11.5/1637/3908×m,
-    // κ-clamp ×1 on medium. Light intra-cluster extras starve the stretch
-    // budget into the κ floor there; the envelope keeps that path alive.
+    jacobi("lattice3d", Tier::Medium),
+    jacobi("lattice3d", Tier::Large),
+    // barbell: measured depth 1/6/0, it 24/45/830, work 11.5/1637×m
+    // (small, medium), κ-clamp ×1 on medium. Light intra-cluster extras
+    // starve the stretch budget into the κ floor there; the envelope keeps
+    // that path alive. The large tier is a Jacobi chain (plain Jacobi-PCG:
+    // 824 iterations; the chain's count includes its residual-replacement
+    // restarts).
     env("barbell", Tier::Small, 3, 50, 25.0, 0),
     env("barbell", Tier::Medium, 8, 90, 3_500.0, 1),
-    env("barbell", Tier::Large, 3, 80, 8_000.0, 0),
+    jacobi("barbell", Tier::Large),
 ];
 
 const fn env(
@@ -83,10 +108,20 @@ const fn env(
     Envelope {
         family,
         tier,
-        max_depth,
-        max_iterations,
-        max_work_per_edge,
-        min_clamp_hits,
+        shape: Shape::Levels {
+            max_depth,
+            max_iterations,
+            max_work_per_edge,
+            min_clamp_hits,
+        },
+    }
+}
+
+const fn jacobi(family: &'static str, tier: Tier) -> Envelope {
+    Envelope {
+        family,
+        tier,
+        shape: Shape::Jacobi,
     }
 }
 
@@ -119,36 +154,73 @@ fn check(family: &str, tier: Tier) {
         run.iterations,
         run.relative_residual
     );
-    assert!(
-        run.iterations <= e.max_iterations,
-        "{family}/{}: {} iterations exceeds envelope {}",
-        tier.name(),
-        run.iterations,
-        e.max_iterations
-    );
-    assert!(
-        q.depth <= e.max_depth,
-        "{family}/{}: depth {} exceeds envelope {}",
-        tier.name(),
-        q.depth,
-        e.max_depth
-    );
-    let work_per_edge = q.work_per_input_edge;
-    assert!(
-        work_per_edge.is_finite() && work_per_edge <= e.max_work_per_edge,
-        "{family}/{}: work/app {:.1}×m exceeds envelope {:.1}×m",
-        tier.name(),
-        work_per_edge,
-        e.max_work_per_edge
-    );
-    assert!(
-        q.kappa_clamp_hits >= e.min_clamp_hits,
-        "{family}/{}: κ-clamp hit {} levels, envelope requires ≥ {} — the \
-         clamp path this family exists to exercise has gone dead",
-        tier.name(),
-        q.kappa_clamp_hits,
-        e.min_clamp_hits
-    );
+    match e.shape {
+        Shape::Levels {
+            max_depth,
+            max_iterations,
+            max_work_per_edge,
+            min_clamp_hits,
+        } => {
+            assert!(
+                run.iterations <= max_iterations,
+                "{family}/{}: {} iterations exceeds envelope {max_iterations}",
+                tier.name(),
+                run.iterations
+            );
+            assert!(
+                q.depth <= max_depth,
+                "{family}/{}: depth {} exceeds envelope {max_depth}",
+                tier.name(),
+                q.depth
+            );
+            let work_per_edge = q.work_per_input_edge;
+            assert!(
+                work_per_edge.is_finite() && work_per_edge <= max_work_per_edge,
+                "{family}/{}: work/app {work_per_edge:.1}×m exceeds envelope \
+                 {max_work_per_edge:.1}×m",
+                tier.name()
+            );
+            assert!(
+                q.kappa_clamp_hits >= min_clamp_hits,
+                "{family}/{}: κ-clamp hit {} levels, envelope requires ≥ \
+                 {min_clamp_hits} — the clamp path this family exists to \
+                 exercise has gone dead",
+                tier.name(),
+                q.kappa_clamp_hits
+            );
+        }
+        Shape::Jacobi => {
+            assert!(
+                q.depth == 0 && !q.direct_bottom,
+                "{family}/{}: not a Jacobi chain",
+                tier.name()
+            );
+            let reference = jacobi_pcg_iterations(&g);
+            eprintln!(
+                "[zoo {family}/{}] plain Jacobi-PCG: it={reference}",
+                tier.name()
+            );
+            assert!(
+                run.iterations as f64 <= JACOBI_ITERATION_RATIO * reference as f64,
+                "{family}/{}: {} iterations exceeds {JACOBI_ITERATION_RATIO}× plain \
+                 Jacobi-PCG's {reference}",
+                tier.name(),
+                run.iterations
+            );
+        }
+    }
+}
+
+/// Iterations plain Jacobi-PCG needs on `g` for the right-hand side
+/// [`zoo::run`] solves, at [`TOLERANCE`]. The right-hand side is first
+/// projected onto the range per connected component, as the chain does.
+fn jacobi_pcg_iterations(g: &parsdd_graph::Graph) -> usize {
+    let mut b = zoo::rhs(g);
+    let comps = parsdd_graph::components::parallel_connected_components(g);
+    parsdd_linalg::vector::project_out_componentwise_constant(&mut b, &comps.labels, comps.count);
+    let out = parsdd_solver::baseline::solve_jacobi_pcg(g, &b, TOLERANCE, 100_000);
+    assert!(out.converged, "plain Jacobi-PCG did not converge");
+    out.iterations
 }
 
 // ---------------------------------------------------------------------------
@@ -302,4 +374,73 @@ fn adaptive_selection_converges_off_grid() {
             out.relative_residual
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The iterative-bottom invariant: `build_chain` never returns a chain with
+// levels over a bottom it cannot factor. With `dense_bottom_limit` forced
+// below some of the small tiers' bottoms, those cases collapse to
+// zero-level Jacobi chains and the rest keep their direct bottoms.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn chains_with_levels_end_on_a_direct_or_trivial_bottom() {
+    let (mut kept, mut collapsed) = (0, 0);
+    for &family in zoo::FAMILIES {
+        let g = zoo::build(family, Tier::Small);
+        let options = ChainOptions {
+            dense_bottom_limit: 300,
+            ..zoo::chain_options(family, Tier::Small)
+        };
+        let run = zoo::run(&g, options, TOLERANCE);
+        let q = &run.quality;
+        eprintln!("[zoo low-limit {family}/small] {}", q.summary());
+        if q.depth == 0 {
+            collapsed += 1;
+        } else {
+            kept += 1;
+            assert!(
+                q.direct_bottom || q.bottom_edges == 0,
+                "{family}/small: depth {} over an iterative bottom",
+                q.depth
+            );
+        }
+        assert!(
+            run.converged && run.relative_residual <= TOLERANCE,
+            "{family}/small with a low dense_bottom_limit: not converged \
+             (it={} res={:.3e})",
+            run.iterations,
+            run.relative_residual
+        );
+    }
+    assert!(
+        kept > 0 && collapsed > 0,
+        "kept {kept}, collapsed {collapsed}"
+    );
+}
+
+/// A Jacobi chain meets the tolerance by its true residual. On three
+/// clusters joined by 1e-5 bridges, Jacobi-PCG's recurrence residual
+/// reaches 1e-8 while the recomputed one is still 1.02e-8; the chain's
+/// residual replacement closes that gap.
+#[test]
+fn jacobi_chain_meets_the_tolerance_by_its_true_residual() {
+    use parsdd_linalg::operator::LinearOperator;
+    use parsdd_linalg::vector::norm2;
+    let g = parsdd_graph::generators::near_disconnected_clusters(3, 150, 300, 1e-5, 0x2005);
+    let mut options = SddSolverOptions::default().with_tolerance(TOLERANCE);
+    options.chain.dense_bottom_limit = 100;
+    let solver = SddSolver::new_laplacian(&g, options);
+    assert_eq!(solver.chain().depth(), 0);
+    assert!(!solver.stats().direct_bottom);
+    let b = zoo::rhs(&g);
+    let out = solver.solve(&b);
+    let r = parsdd_linalg::laplacian::LaplacianOp::new(&g).residual(&out.x, &b);
+    let rel = norm2(&r) / norm2(&b);
+    assert!(
+        out.converged && rel <= TOLERANCE,
+        "it={} reported {:.3e}, recomputed {rel:.3e}",
+        out.iterations,
+        out.relative_residual
+    );
 }
