@@ -13,10 +13,11 @@ use parsdd_bench::{fmt, report_header, report_row, workloads};
 use parsdd_lsst::stretch::stretch_over_tree;
 use parsdd_lsst::{akpw, AkpwParams};
 use parsdd_solver::baseline;
-use parsdd_solver::chain::ChainOptions;
-use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
+use parsdd_solver::chain::{build_chain, ChainOptions};
 
 const TOL: f64 = 1e-8;
+/// Outer-iteration budget of a chain solve (`SddSolverOptions`' default).
+const MAX_ITERS: usize = 200;
 
 fn quality_table() {
     report_header(
@@ -46,17 +47,12 @@ fn quality_table() {
                 ChainOptions::default().with_kappa(16.0),
             ),
         ];
-        for (name, chain) in configs {
+        for (name, options) in configs {
             let t0 = Instant::now();
-            let solver = SddSolver::new_laplacian(
-                &wl.graph,
-                SddSolverOptions::default()
-                    .with_tolerance(TOL)
-                    .with_chain(chain),
-            );
+            let chain = build_chain(&wl.graph, &options);
             let build = t0.elapsed().as_secs_f64() * 1000.0;
             let t1 = Instant::now();
-            let out = solver.solve(&b);
+            let out = chain.solve(&b, TOL, MAX_ITERS);
             let solve = t1.elapsed().as_secs_f64() * 1000.0;
             report_row(&[
                 wl.name.to_string(),
@@ -117,9 +113,9 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     let g = parsdd_graph::generators::grid2d(64, 64, |_, _| 1.0);
     let b = workloads::rhs(g.n(), 11);
-    let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default().with_tolerance(TOL));
+    let chain = build_chain(&g, &ChainOptions::default());
     group.bench_function("chebyshev", |bch| {
-        bch.iter(|| black_box(solver.solve(&b).iterations))
+        bch.iter(|| black_box(chain.solve(&b, TOL, MAX_ITERS).iterations))
     });
     group.finish();
 }

@@ -1,7 +1,7 @@
-//! E11 — blocked multi-RHS solves: time-per-RHS of `SddSolver::solve_many`
-//! as a function of the block width k, on the Spielman–Srivastava
-//! effective-resistance workload (many random-projection right-hand sides
-//! against one prebuilt chain).
+//! E11 — blocked multi-RHS solves: time-per-RHS of the chain's
+//! `SolverChain::solve_block` as a function of the block width k, on the
+//! Spielman–Srivastava effective-resistance workload (many
+//! random-projection right-hand sides against one prebuilt chain).
 //!
 //! Blocking amortises every chain level's matrix stream — CSR adjacency,
 //! elimination trace, dense bottom factor — over the block, so per-RHS
@@ -15,10 +15,18 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use parsdd_bench::{fmt, report_header, report_row};
-use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
+use parsdd_linalg::MultiVector;
+use parsdd_solver::chain::{build_chain, ChainOptions, SolveOutcome, SolverChain};
 use parsdd_solver::sparsify::counter_coin;
 
 const TOL: f64 = 1e-8;
+/// Outer-iteration budget of a chain solve (`SddSolverOptions`' default).
+const MAX_ITERS: usize = 200;
+
+/// One block of right-hand sides through the chain.
+fn solve_block(chain: &SolverChain, rhs: &[Vec<f64>]) -> Vec<SolveOutcome> {
+    chain.solve_block(&MultiVector::from_columns(rhs), TOL, MAX_ITERS)
+}
 const NUM_RHS: usize = 16;
 
 /// The Spielman–Srivastava projection right-hand sides `Bᵀ W^{1/2} q_p`
@@ -49,13 +57,13 @@ fn quality_table() {
     );
     for side in [48usize, 72] {
         let g = parsdd_graph::generators::grid2d(side, side, |_, _| 1.0);
-        let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default().with_tolerance(TOL));
+        let chain = build_chain(&g, &ChainOptions::default());
         let rhs = projection_rhs(&g, NUM_RHS, 0xe11);
         let mut per_rhs_k1 = f64::NAN;
         for k in [1usize, 4, 16] {
             let t0 = Instant::now();
             for chunk in rhs.chunks(k) {
-                black_box(solver.solve_many(chunk));
+                black_box(solve_block(&chain, chunk));
             }
             let ms = t0.elapsed().as_secs_f64() * 1000.0;
             let per = ms / NUM_RHS as f64;
@@ -77,7 +85,7 @@ fn quality_table() {
 fn bench(c: &mut Criterion) {
     quality_table();
     let g = parsdd_graph::generators::grid2d(48, 48, |_, _| 1.0);
-    let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default().with_tolerance(TOL));
+    let chain = build_chain(&g, &ChainOptions::default());
     let rhs = projection_rhs(&g, NUM_RHS, 0xe11);
     let mut group = c.benchmark_group("e11_multi_rhs");
     group.sample_size(10);
@@ -86,8 +94,7 @@ fn bench(c: &mut Criterion) {
             bch.iter(|| {
                 let mut converged = 0usize;
                 for chunk in rhs.chunks(k) {
-                    converged += solver
-                        .solve_many(chunk)
+                    converged += solve_block(&chain, chunk)
                         .iter()
                         .filter(|o| o.converged)
                         .count();

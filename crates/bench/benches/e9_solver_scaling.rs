@@ -7,7 +7,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use parsdd_bench::{fmt, report_header, report_row, workloads};
-use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
+use parsdd_solver::chain::{build_chain, ChainOptions};
+
+/// Outer-iteration budget of a chain solve (`SddSolverOptions`' default).
+const MAX_ITERS: usize = 200;
 
 fn quality_table() {
     // Chain shape (Section 6.3).
@@ -24,9 +27,7 @@ fn quality_table() {
         ],
     );
     for wl in workloads::small_suite() {
-        let solver =
-            SddSolver::new_laplacian(&wl.graph, SddSolverOptions::default().with_tolerance(1e-8));
-        let stats = solver.stats();
+        let stats = build_chain(&wl.graph, &ChainOptions::default()).stats();
         report_row(&[
             wl.name.to_string(),
             format!("{:?}", stats.level_vertices),
@@ -63,11 +64,10 @@ fn quality_table() {
             .expect("pool");
         let (build_ms, solve_ms) = pool.install(|| {
             let t0 = Instant::now();
-            let solver =
-                SddSolver::new_laplacian(&g, SddSolverOptions::default().with_tolerance(1e-8));
+            let chain = build_chain(&g, &ChainOptions::default());
             let build = t0.elapsed().as_secs_f64() * 1000.0;
             let t1 = Instant::now();
-            let out = solver.solve(&b);
+            let out = chain.solve(&b, 1e-8, MAX_ITERS);
             assert!(out.relative_residual <= 1e-6);
             (build, t1.elapsed().as_secs_f64() * 1000.0)
         });
@@ -89,7 +89,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     let g = parsdd_graph::generators::grid2d(96, 96, |_, _| 1.0);
     let b = workloads::rhs(g.n(), 7);
-    let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default().with_tolerance(1e-8));
+    let chain = build_chain(&g, &ChainOptions::default());
     for threads in [1usize, 8] {
         // Build the pool once; `with_threads` inside `bch.iter` would
         // spawn and join 8 OS threads per measured iteration.
@@ -100,7 +100,9 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("solve", threads),
             &threads,
-            |bch, &_threads| bch.iter(|| pool.install(|| black_box(solver.solve(&b).iterations))),
+            |bch, &_threads| {
+                bch.iter(|| pool.install(|| black_box(chain.solve(&b, 1e-8, MAX_ITERS).iterations)))
+            },
         );
     }
     group.finish();

@@ -55,6 +55,10 @@ use parsdd_solver::sparsify::{incremental_sparsify, SparsifyParams};
 
 const SAMPLES: usize = 3;
 
+/// Outer-iteration budget of the chain solves (`SddSolverOptions`'
+/// default).
+const CHAIN_MAX_ITERS: usize = 200;
+
 /// Timed samples per (experiment, width); `SAMPLES`, or 1 with `--quick`.
 static SAMPLES_PER_POINT: AtomicUsize = AtomicUsize::new(SAMPLES);
 
@@ -292,11 +296,9 @@ fn main() {
         &filter,
         "e8_solver_work",
         &widths,
-        || {
-            let solver =
-                SddSolver::new_laplacian(&grid96, SddSolverOptions::default().with_tolerance(1e-8));
-            solver.solve(&b96)
-        },
+        // The chain itself (build + solve), which the Jacobi-first front
+        // door builds only for escalating columns.
+        || build_chain(&grid96, &ChainOptions::default()).solve(&b96, 1e-8, CHAIN_MAX_ITERS),
         |o| {
             format!(
                 "iterations={} residual={:.3e}",
@@ -312,9 +314,9 @@ fn main() {
         || {
             // Solve only (chain prebuilt per sample set would hide the
             // dominant cost on this workload; E9's headline is the solve).
-            let solver =
-                SddSolver::new_laplacian(&grid96, SddSolverOptions::default().with_tolerance(1e-8));
-            solver.solve(&b96).iterations
+            build_chain(&grid96, &ChainOptions::default())
+                .solve(&b96, 1e-8, CHAIN_MAX_ITERS)
+                .iterations
         },
         |i| format!("iterations={i}"),
     );
@@ -388,44 +390,46 @@ fn main() {
     // per-RHS time at k = 16 at most half the k = 1 time.
     let (mr_side, mr_rhs) = if quick { (60usize, 8usize) } else { (120, 16) };
     let mr_grid = parsdd_graph::generators::grid2d(mr_side, mr_side, |_, _| 1.0);
-    let mr_points: Option<Vec<(usize, f64, f64)>> = (enabled(&filter, "e11_multi_rhs")
-        || enabled(&filter, "multi_rhs"))
-    .then(|| {
-        let solver =
-            SddSolver::new_laplacian(&mr_grid, SddSolverOptions::default().with_tolerance(1e-8));
-        let n = mr_grid.n();
-        let rhs: Vec<Vec<f64>> = (0..mr_rhs)
-            .map(|p| {
-                let mut y = vec![0.0f64; n];
-                for (id, e) in mr_grid.edges().iter().enumerate() {
-                    let coin = parsdd_solver::sparsify::counter_coin(
-                        0x55ab_0001 ^ (p as u64).wrapping_mul(0xd1b5_4a32_d192_ed03),
-                        id as u64,
-                    );
-                    let s = if coin < 0.5 { 1.0 } else { -1.0 };
-                    let w = e.w.sqrt() * s;
-                    y[e.u as usize] += w;
-                    y[e.v as usize] -= w;
-                }
-                y
-            })
-            .collect();
-        [1usize, 4, 16]
-            .iter()
-            .map(|&k| {
-                let (min, mean) = time_at(1, || {
-                    for chunk in rhs.chunks(k) {
-                        std::hint::black_box(solver.solve_many(chunk));
+    let mr_points: Option<Vec<(usize, f64, f64)>> =
+        (enabled(&filter, "e11_multi_rhs") || enabled(&filter, "multi_rhs")).then(|| {
+            let chain = build_chain(&mr_grid, &ChainOptions::default());
+            let solve = |chunk: &[Vec<f64>]| {
+                let block = parsdd_linalg::MultiVector::from_columns(chunk);
+                chain.solve_block(&block, 1e-8, CHAIN_MAX_ITERS)
+            };
+            let n = mr_grid.n();
+            let rhs: Vec<Vec<f64>> = (0..mr_rhs)
+                .map(|p| {
+                    let mut y = vec![0.0f64; n];
+                    for (id, e) in mr_grid.edges().iter().enumerate() {
+                        let coin = parsdd_solver::sparsify::counter_coin(
+                            0x55ab_0001 ^ (p as u64).wrapping_mul(0xd1b5_4a32_d192_ed03),
+                            id as u64,
+                        );
+                        let s = if coin < 0.5 { 1.0 } else { -1.0 };
+                        let w = e.w.sqrt() * s;
+                        y[e.u as usize] += w;
+                        y[e.v as usize] -= w;
                     }
-                });
-                eprintln!(
-                    "multi_rhs k={k:2}  total {min:9.1} ms  per-rhs {:9.1} ms",
-                    min / mr_rhs as f64
-                );
-                (k, min, mean)
-            })
-            .collect()
-    });
+                    y
+                })
+                .collect();
+            [1usize, 4, 16]
+                .iter()
+                .map(|&k| {
+                    let (min, mean) = time_at(1, || {
+                        for chunk in rhs.chunks(k) {
+                            std::hint::black_box(solve(chunk));
+                        }
+                    });
+                    eprintln!(
+                        "multi_rhs k={k:2}  total {min:9.1} ms  per-rhs {:9.1} ms",
+                        min / mr_rhs as f64
+                    );
+                    (k, min, mean)
+                })
+                .collect()
+        });
 
     // ----- Workload-zoo chain-quality record -----
     //

@@ -6,7 +6,8 @@
 //! one graph family. The zoo pins five structurally different families
 //! (power-law, small-world/expander, road-like skewed planar, 3D lattice,
 //! and near-disconnected clusters) at three size tiers each, with a single
-//! entry point that builds the graph and one that solves it and returns the
+//! entry point that builds the graph and one that solves it — on the
+//! solver's full chain and through its front door — and returns the
 //! chain-quality report. All generators are seeded and sequential, so every
 //! case is bitwise-identical across thread counts and runs.
 
@@ -115,18 +116,26 @@ pub fn chain_options(family: &str, tier: Tier) -> ChainOptions {
     options
 }
 
-/// Result of solving one zoo case: the chain-quality report plus the
-/// outer-solve outcome the conformance tests assert on.
+/// Result of solving one zoo case: the chain-quality report and the
+/// chain's own solve, which the conformance envelopes bound, plus the
+/// front door's solve of the same right-hand side.
 #[derive(Debug, Clone)]
 pub struct ZooRun {
     /// Chain-quality conformance report of the built chain.
     pub quality: ChainQuality,
-    /// Outer PCG iterations of the solve.
+    /// Outer PCG iterations of the chain's solve.
     pub iterations: usize,
-    /// Final relative residual `‖b − Ax‖₂ / ‖b‖₂`.
+    /// Final relative residual `‖b − Ax‖₂ / ‖b‖₂` of the chain's solve.
     pub relative_residual: f64,
-    /// Whether the requested tolerance was reached.
+    /// Whether the chain's solve reached the requested tolerance.
     pub converged: bool,
+    /// Iterations of the front door's solve (`SddSolver::solve`: Jacobi
+    /// phase, plus the chain's for an escalated column).
+    pub front_door_iterations: usize,
+    /// Final relative residual of the front door's solve.
+    pub front_door_relative_residual: f64,
+    /// Whether the front door's solve reached the requested tolerance.
+    pub front_door_converged: bool,
     /// Typed breakdown of the outer iteration, if it froze early
     /// (`Display`-formatted; `None` when converged or budget-exhausted).
     pub breakdown: Option<String>,
@@ -142,25 +151,33 @@ pub fn rhs(g: &Graph) -> Vec<f64> {
     crate::workloads::rhs(g.n(), 7)
 }
 
-/// Builds the chain for `g` under `options` (use [`chain_options`] for
-/// the registry's per-case choice), solves one deterministic balanced
-/// right-hand side to `tolerance`, and returns the quality report plus the
-/// solve outcome.
+/// Builds a solver for `g` with chain options `options` (use
+/// [`chain_options`] for the registry's per-case choice) and solves one
+/// deterministic balanced right-hand side to `tolerance` twice: through
+/// the front door, and on the solver's full chain directly
+/// (`SolverChain::solve` with the solver's outer budget), whose quality
+/// report and outcome the envelopes bound.
 pub fn run(g: &Graph, options: ChainOptions, tolerance: f64) -> ZooRun {
-    let mut solver_options = SddSolverOptions::default().with_tolerance(tolerance);
-    solver_options.chain = options;
+    let solver_options = SddSolverOptions::default()
+        .with_tolerance(tolerance)
+        .with_chain(options);
     let solver = SddSolver::new_laplacian(g, solver_options);
     let b = rhs(g);
-    let out = solver.solve(&b);
+    let front_door = solver.solve(&b);
+    let chain = solver.chain();
+    let out = chain.solve(&b, tolerance, solver_options.max_iterations);
     let stalled = matches!(
         out.breakdown,
         Some(parsdd_linalg::BreakdownReason::Stalled { .. })
     );
     ZooRun {
-        quality: solver.chain().quality(),
+        quality: chain.quality(),
         iterations: out.iterations,
         relative_residual: out.relative_residual,
         converged: out.converged,
+        front_door_iterations: front_door.iterations,
+        front_door_relative_residual: front_door.relative_residual,
+        front_door_converged: front_door.converged,
         breakdown: out.breakdown.map(|b| b.to_string()),
         stalled,
     }

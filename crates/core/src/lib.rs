@@ -28,29 +28,35 @@
 //! let mut b: Vec<f64> = (0..graph.n()).map(|i| (i % 5) as f64).collect();
 //! parsdd::linalg::vector::project_out_constant(&mut b);
 //!
-//! // ... build the preconditioner chain once and solve.
+//! // ... and solve. The solver runs Jacobi-PCG first and builds the
+//! // preconditioner chain only if a column's Jacobi round runs out of
+//! // budget (DESIGN.md §2.9).
 //! let solver = SddSolver::new_laplacian(&graph, SddSolverOptions::default());
 //! let solution = solver.solve(&b);
 //! assert!(solution.converged);
 //!
-//! // Many right-hand sides? Batch them through the chain: one blocked
-//! // W-cycle pass per group of rhs, bitwise identical to looping
-//! // `solve` — and several times faster per rhs (DESIGN.md §2.2).
+//! // Many right-hand sides? Batch them: one blocked pass per group of
+//! // rhs, bitwise identical to looping `solve` (DESIGN.md §2.2).
 //! let mut b2 = b.clone();
 //! b2.reverse();
 //! parsdd::linalg::vector::project_out_constant(&mut b2);
 //! let solutions = solver.solve_many(&[b, b2]);
 //! assert!(solutions.iter().all(|s| s.converged));
+//!
+//! // The chain of Theorem 1.1 itself, built on this first call.
+//! let chain = solver.chain();
+//! assert_eq!(solver.stats().level_vertices.len(), chain.depth() + 1);
 //! ```
 //!
 //! ## Error handling
 //!
 //! The infallible API above panics on malformed input. Production
 //! callers use the fallible front door: every failure is a typed
-//! [`BuildError`]/[`SolveError`], and a struggling solve escalates
-//! through a deterministic recovery ladder (iterate refresh → stronger
-//! chain → direct envelope factor) before giving up, recording each
-//! rung in [`SolveOutcome::recovery`] (DESIGN.md §2.5).
+//! [`BuildError`]/[`SolveError`], and a solve still unconverged after
+//! its Jacobi phase and chain escalation climbs a deterministic recovery
+//! ladder (iterate refresh → stronger chain → direct envelope factor)
+//! before giving up, recording each rung in [`SolveOutcome::recovery`]
+//! (DESIGN.md §2.5).
 //!
 //! ```
 //! use parsdd::prelude::*;

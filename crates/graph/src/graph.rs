@@ -197,6 +197,14 @@ impl Graph {
     /// on the first self-loop, out-of-range endpoint, or non-finite /
     /// non-positive weight.
     pub fn validated(n: usize, edges: Vec<Edge>) -> Result<Self, GraphDataError> {
+        Self::validate_edges(n, &edges)?;
+        Ok(Self::from_edges_unchecked(n, edges))
+    }
+
+    /// Checks an edge list against the invariants [`Graph::validated`]
+    /// enforces, in place, without building anything: the error names the
+    /// offending edge with the lowest index, at every pool width.
+    pub fn validate_edges(n: usize, edges: &[Edge]) -> Result<(), GraphDataError> {
         if edges.len() < SEQ_CUTOFF {
             for (i, e) in edges.iter().enumerate() {
                 check_edge(i, e, n)?;
@@ -210,7 +218,7 @@ impl Graph {
         {
             return Err(err);
         }
-        Ok(Self::from_edges_unchecked(n, edges))
+        Ok(())
     }
 
     /// Builds a graph assuming the edge list has already been validated.

@@ -1032,7 +1032,9 @@ pub struct SolveOutcome {
     pub x: Vec<f64>,
     /// Outer iterations performed. A zero-level chain reports 1 for its
     /// direct bottom solve, or a Jacobi chain's Jacobi-PCG iterations
-    /// (residual-replacement restarts included).
+    /// (residual-replacement restarts included). Through
+    /// [`crate::sdd_solve::SddSolver`], a column that escalated reports
+    /// its Jacobi-PCG round plus the full chain's outer iterations.
     pub iterations: usize,
     /// Final relative residual `‖b − Ax‖₂ / ‖b‖₂`.
     pub relative_residual: f64,
@@ -1118,11 +1120,9 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // Each level's merged rows, built in f64; stored at the chain's width
     // once the chain is complete.
     let mut matrices: Vec<PermutedLevel> = Vec::new();
-    let mut current = g.simplify();
     // Bake the boundary permutation into the top system before anything
     // downstream (subgraph, sampling, elimination) sees it.
-    let top_perm = level_order(&current, options.ordering);
-    current = relabel(&current, &top_perm);
+    let (mut current, top_perm) = permuted_input(g, options.ordering);
     let mut seed = options.seed;
 
     while current.n() > bottom_target
@@ -1339,7 +1339,44 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
             .expect("level graphs are resident during build");
         matrices.clear();
     }
+    assemble(levels, matrices, current, top_perm, options, jacobi)
+}
 
+/// Builds the zero-level Jacobi chain for the Laplacian of `g`: the
+/// simplified input in the configured [`LevelOrdering`]'s index space,
+/// solved by one top-level Jacobi-PCG with residual replacement — the
+/// chain [`build_chain`] collapses to when its recursion ends above
+/// `dense_bottom_limit`. It never recurses: no subgraph, sampling,
+/// elimination or calibration, so it costs one simplify, one ordering
+/// pass and one component labelling. The options are
+/// [`ChainOptions::sanitized`] first; only the ordering is read.
+pub fn build_jacobi_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
+    let options = options.sanitized();
+    let (current, top_perm) = permuted_input(g, options.ordering);
+    assemble(Vec::new(), Vec::new(), current, top_perm, options, true)
+}
+
+/// The simplified input relabelled into the `ordering`'s index space,
+/// with the boundary permutation (`original id → internal id`) it baked
+/// in: the top system every chain starts from.
+fn permuted_input(g: &Graph, ordering: LevelOrdering) -> (Graph, Vec<u32>) {
+    let simple = g.simplify();
+    let top_perm = level_order(&simple, ordering);
+    (relabel(&simple, &top_perm), top_perm)
+}
+
+/// Finishes a chain over its built `levels` and the system `current`
+/// below them: the bottom (a direct factor, or — when `jacobi` — none,
+/// making a zero-level Jacobi chain), the component labellings, the
+/// storage width, and the Chebyshev calibration.
+fn assemble(
+    mut levels: Vec<ChainLevel>,
+    matrices: Vec<PermutedLevel>,
+    current: Graph,
+    top_perm: Vec<u32>,
+    options: ChainOptions,
+    jacobi: bool,
+) -> SolverChain {
     // Bottom solver. The bottom graph arrived here already in its baked-in
     // order (the top permutation when there are no levels, the last
     // elimination's relabel otherwise), so the envelope factor sees the
@@ -1498,7 +1535,7 @@ impl SolverChain {
     }
 
     /// Jacobi-PCG iteration budget of one round of a Jacobi chain's solve.
-    fn jacobi_budget(&self) -> usize {
+    pub fn jacobi_budget(&self) -> usize {
         (2 * self.bottom_graph.n()).clamp(100, 4000)
     }
 
@@ -1766,7 +1803,18 @@ impl SolverChain {
     /// solve could stop just above the caller's tolerance. Returns the
     /// row-major solution and each column's Jacobi-PCG iterations, restarts
     /// included. Every column's arithmetic is independent of the block.
-    fn jacobi_solve_rm(&self, b: &[f64], k: usize, tol: f64) -> (Vec<f64>, Vec<usize>) {
+    ///
+    /// With `escalate` set, a column whose first round uses up
+    /// [`Self::jacobi_budget`] without converging skips the replacement
+    /// rounds and is flagged in the third returned vector: Jacobi-PCG is
+    /// the wrong solver for it, and the caller finishes it on a full chain.
+    fn jacobi_solve_rm(
+        &self,
+        b: &[f64],
+        k: usize,
+        tol: f64,
+        escalate: bool,
+    ) -> (Vec<f64>, Vec<usize>, Vec<bool>) {
         let op = LaplacianOp::new(&self.bottom_graph);
         let jacobi = JacobiPreconditioner::from_laplacian(&op);
         let options = |tol| CgOptions {
@@ -1776,14 +1824,23 @@ impl SolverChain {
         let b = MultiVector::from_rowmajor(b, k);
         let mut cols = Vec::with_capacity(k);
         let mut iterations = Vec::with_capacity(k);
+        let mut exhausted = Vec::with_capacity(k);
         for (j, first) in block_pcg_solve(&op, &jacobi, &b, &options(tol))
             .into_iter()
             .enumerate()
         {
             let bj = b.col(j);
             let bnorm = norm2(bj);
+            let escalates =
+                escalate && !first.converged && first.iterations >= self.jacobi_budget();
+            exhausted.push(escalates);
             let (mut x, mut its) = (first.x, first.iterations);
-            for _ in 0..Self::MAX_RESIDUAL_REPLACEMENTS {
+            let rounds = if escalates {
+                0
+            } else {
+                Self::MAX_RESIDUAL_REPLACEMENTS
+            };
+            for _ in 0..rounds {
                 let mut r = op.residual(&x, bj);
                 project_out_componentwise_constant(
                     &mut r,
@@ -1803,7 +1860,11 @@ impl SolverChain {
             cols.push(x);
             iterations.push(its);
         }
-        (MultiVector::from_columns(&cols).to_rowmajor(), iterations)
+        (
+            MultiVector::from_columns(&cols).to_rowmajor(),
+            iterations,
+            exhausted,
+        )
     }
 
     /// Applies the level-`i` preconditioner `B_i⁻¹ R` to `k` row-major
@@ -2122,10 +2183,32 @@ impl SolverChain {
         tol: f64,
         max_iterations: usize,
     ) -> Vec<SolveOutcome> {
-        self.with_workspace(|ws| self.solve_block_ws(b, tol, max_iterations, ws))
+        self.with_workspace(|ws| self.solve_block_ws(b, tol, max_iterations, false, ws))
+            .0
     }
 
-    /// [`solve_block`](Self::solve_block) on a checked-out workspace. The
+    /// The Jacobi phase of the solver's front door (DESIGN.md §2.9):
+    /// [`solve_block`](Self::solve_block) on a Jacobi chain, except that a
+    /// column whose first Jacobi-PCG round uses up
+    /// [`jacobi_budget`](Self::jacobi_budget) without converging returns
+    /// unconverged at once, flagged `true` in the second vector, for the
+    /// caller to finish on the full chain. Columns are still independent:
+    /// each outcome and flag is that of the column solved alone.
+    pub(crate) fn solve_block_or_escalate(
+        &self,
+        b: &MultiVector,
+        tol: f64,
+    ) -> (Vec<SolveOutcome>, Vec<bool>) {
+        assert!(
+            matches!(self.tier, Tier::Jacobi),
+            "only a Jacobi chain escalates"
+        );
+        self.with_workspace(|ws| self.solve_block_ws(b, tol, 0, true, ws))
+    }
+
+    /// [`solve_block`](Self::solve_block) on a checked-out workspace, with
+    /// [`solve_block_or_escalate`](Self::solve_block_or_escalate)'s flags
+    /// (all `false` unless `escalate` is set on a Jacobi chain). The
     /// outer iteration keeps its own locals (allocated once per solve and
     /// reused across iterations), so together with the workspace-threaded
     /// W-cycle no per-*iteration* heap allocation remains on the
@@ -2136,8 +2219,9 @@ impl SolverChain {
         b: &MultiVector,
         tol: f64,
         max_iterations: usize,
+        escalate: bool,
         ws: &mut ChainWorkspace,
-    ) -> Vec<SolveOutcome> {
+    ) -> (Vec<SolveOutcome>, Vec<bool>) {
         let top_matrix = self.top_operator();
         let n = top_matrix.n();
         assert_eq!(b.nrows(), n, "right-hand side has wrong dimension");
@@ -2153,6 +2237,7 @@ impl SolverChain {
             .map(f64::sqrt)
             .collect();
         let mut outcomes: Vec<Option<SolveOutcome>> = (0..k).map(|_| None).collect();
+        let mut exhausted = vec![false; k];
         let mut active: Vec<usize> = Vec::with_capacity(k);
         for j in 0..k {
             if bnorms[j] == 0.0 {
@@ -2176,12 +2261,12 @@ impl SolverChain {
             if !active.is_empty() {
                 let ka = active.len();
                 let ba = compact_columns_rm(&rr, k, &active);
-                let (xa, column_iterations) = if let Tier::Jacobi = self.tier {
-                    self.jacobi_solve_rm(&ba, ka, tol)
+                let (xa, column_iterations, column_exhausted) = if let Tier::Jacobi = self.tier {
+                    self.jacobi_solve_rm(&ba, ka, tol, escalate)
                 } else {
                     let mut xa = Vec::new();
                     self.apply_preconditioner(&ba, ka, &mut xa, ws);
-                    (xa, vec![1; ka])
+                    (xa, vec![1; ka], vec![false; ka])
                 };
                 let mut diff = vec![0.0f64; n * ka];
                 self.bottom_matrix.apply_rowmajor(&xa, &mut diff, ka);
@@ -2190,6 +2275,7 @@ impl SolverChain {
                 }
                 let rn = colwise_dots_rm(&diff, &diff, ka);
                 for (c, &j) in active.iter().enumerate() {
+                    exhausted[j] = column_exhausted[c];
                     let rel = rn[c].sqrt() / bnorms[j];
                     let x = (0..n).map(|i| xa[perm[i] as usize * ka + c]).collect();
                     outcomes[j] = Some(SolveOutcome {
@@ -2206,18 +2292,12 @@ impl SolverChain {
                     });
                 }
             }
-            return outcomes
-                .into_iter()
-                .map(|o| o.expect("every column resolved"))
-                .collect();
+            return (resolved(outcomes), exhausted);
         }
 
         if active.is_empty() {
             // Every column was in the null space: all outcomes are set.
-            return outcomes
-                .into_iter()
-                .map(|o| o.expect("every column resolved"))
-                .collect();
+            return (resolved(outcomes), exhausted);
         }
 
         // Flexible PCG with the recursive chain preconditioner at level 0.
@@ -2414,11 +2494,16 @@ impl SolverChain {
                 });
             }
         }
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every column resolved"))
-            .collect()
+        (resolved(outcomes), exhausted)
     }
+}
+
+/// Unwraps a block's per-column outcomes once every column is set.
+fn resolved(outcomes: Vec<Option<SolveOutcome>>) -> Vec<SolveOutcome> {
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every column resolved"))
+        .collect()
 }
 
 /// Gathers the listed columns of a row-major block of width `k` into a

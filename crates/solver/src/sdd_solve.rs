@@ -3,39 +3,57 @@
 //! [`SddSolver`] accepts either a graph Laplacian (given as a
 //! [`parsdd_graph::Graph`]) or a general SDD matrix (given as a
 //! [`parsdd_linalg::CsrMatrix`], reduced to a Laplacian by Gremban's
-//! reduction), builds the preconditioner chain once, and then answers any
-//! number of right-hand sides to the requested accuracy
-//! `‖x̃ − A⁺b‖_A ≤ ε·‖A⁺b‖_A`.
+//! reduction) and answers any number of right-hand sides to the requested
+//! accuracy `‖x̃ − A⁺b‖_A ≤ ε·‖A⁺b‖_A`.
 //!
-//! Two front doors share the one chain:
+//! **Jacobi first** (DESIGN.md §2.9). Construction builds only a
+//! zero-level Jacobi chain ([`build_jacobi_chain`]) over the simplified,
+//! bandwidth-ordered input: no subgraph, sampling, elimination or
+//! calibration. Every solve runs blocked Jacobi-PCG with true-residual
+//! replacement on it. A column whose first Jacobi-PCG round uses up
+//! [`SolverChain::jacobi_budget`] without converging **escalates**: the
+//! full preconditioner chain ([`build_chain`]) is built once, on first
+//! need, and solves that column's residual correction within
+//! [`SddSolverOptions::max_iterations`]. Most inputs of benchmark size
+//! never build the chain, whose build alone costs more than Jacobi-PCG's
+//! whole solve there; the Jacobi phase is capped at a constant number of
+//! rounds, so it adds O(m) work per column and the chain's work and depth
+//! bounds still hold for the inputs that need it.
+//!
+//! Two front doors share this path:
 //!
 //! * the original infallible API ([`SddSolver::new_laplacian`],
 //!   [`SddSolver::solve`], …) panics on malformed input and reports
-//!   non-convergence through [`SolveOutcome::converged`] — its code path
-//!   is untouched by the fallible layer, so its bitwise batched ≡ looped
-//!   contracts are unaffected;
+//!   non-convergence through [`SolveOutcome::converged`];
 //! * the fallible API ([`SddSolver::try_new_laplacian`],
 //!   [`SddSolver::try_solve`], …) classifies every failure as a typed
-//!   [`BuildError`] / [`SolveError`] and, when an iteration breaks down or
-//!   runs out of budget, escalates through a deterministic **recovery
-//!   ladder** (DESIGN.md §2.5) before giving up: iterate refresh with the
-//!   existing chain, then a one-rung-stronger chain (built once, cached),
-//!   then a direct envelope factorisation of the whole system (small
-//!   systems only). Every attempted rung is recorded in
-//!   [`SolveOutcome::recovery`].
+//!   [`BuildError`] / [`SolveError`] and, when a column is still
+//!   unconverged after the Jacobi phase and any escalation, climbs a
+//!   deterministic **recovery ladder** (DESIGN.md §2.5) before giving up:
+//!   iterate refresh with the full chain, then a one-rung-stronger chain
+//!   (built once, cached), then a direct envelope factorisation of the
+//!   whole system (small systems only). Every attempted rung is recorded
+//!   in [`SolveOutcome::recovery`].
+//!
+//! Batched answers are bitwise identical to looped ones, escalated
+//! columns included: every column's Jacobi phase, escalation and ladder
+//! are functions of that column alone.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use parsdd_graph::Graph;
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::csr::CsrMatrix;
 use parsdd_linalg::sdd::GrembanReduction;
-use parsdd_linalg::vector::norm2;
+use parsdd_linalg::vector::{norm2, project_out_componentwise_constant};
 
-use crate::chain::{build_chain, ChainOptions, ChainStats, SolveOutcome, SolverChain};
+use crate::chain::{
+    build_chain, build_jacobi_chain, ChainOptions, ChainStats, SolveOutcome, SolverChain,
+};
 use crate::error::{BuildError, RecoveryRung, RecoveryStep, SolveError};
 
-/// Widest block `solve_many` hands to the chain at once: bounds the
+/// Widest block `solve_many` hands to the solver at once: bounds the
 /// working-set memory (every chain level holds a handful of `n × k`
 /// temporaries) while still amortising one matrix stream over up to 32
 /// right-hand sides. Larger requests are processed in chunks of this width.
@@ -57,13 +75,18 @@ const DIRECT_RECOVERY_LIMIT: usize = 20_000;
 /// Options of the top-level solver.
 #[derive(Debug, Clone, Copy)]
 pub struct SddSolverOptions {
-    /// Chain construction options.
+    /// Construction options of the full chain (built only for columns
+    /// that escalate, for the recovery ladder, or on a call to
+    /// [`SddSolver::chain`]); the Jacobi phase reads only the ordering.
     pub chain: ChainOptions,
     /// Relative residual tolerance (a practical surrogate for the
     /// `A`-norm bound of Theorem 1.1; the two are within a factor of the
     /// square root of the condition number).
     pub tolerance: f64,
-    /// Maximum number of outer (top-level) iterations.
+    /// Outer-iteration budget of the chain phase: the full chain's
+    /// flexible-PCG iterations per escalated column, and per ladder rung
+    /// (rung 2 gets twice this). The Jacobi phase has its own budget,
+    /// [`SolverChain::jacobi_budget`] iterations per round.
     pub max_iterations: usize,
 }
 
@@ -129,11 +152,16 @@ enum Problem {
 /// The top-level SDD solver (Theorem 1.1): build once, solve many.
 pub struct SddSolver {
     problem: Problem,
-    chain: SolverChain,
+    /// The zero-level Jacobi chain every solve starts on.
+    jacobi: SolverChain,
+    /// The full preconditioner chain, built on first need: an escalating
+    /// column, the recovery ladder, or a call to [`chain`](Self::chain)
+    /// or [`stats`](Self::stats).
+    chain: OnceLock<SolverChain>,
     options: SddSolverOptions,
     original_dim: usize,
-    /// The graph the chain was built from (the Gremban graph for SDD
-    /// problems) — the recovery ladder rebuilds chains from it.
+    /// The graph the chains are built from (the Gremban graph for SDD
+    /// problems).
     source_graph: Graph,
     /// Rung-2 chain (one rung stronger), built on first use and reused
     /// across every subsequent recovery.
@@ -148,29 +176,19 @@ impl SddSolver {
     /// Builds a solver for the Laplacian of `g`. Options are
     /// [`SddSolverOptions::sanitized`] first.
     pub fn new_laplacian(g: &Graph, options: SddSolverOptions) -> Self {
-        let options = options.sanitized();
-        let chain = build_chain(g, &options.chain);
-        SddSolver {
-            problem: Problem::Laplacian,
-            chain,
-            options,
-            original_dim: g.n(),
-            source_graph: g.clone(),
-            stronger: OnceLock::new(),
-            direct: OnceLock::new(),
-        }
+        Self::from_graph(Problem::Laplacian, g.clone(), g.n(), options)
     }
 
     /// Fallible counterpart of [`new_laplacian`](Self::new_laplacian):
-    /// rejects an empty graph and re-validates the edge data (graphs built
-    /// with the unchecked constructor can smuggle non-finite or
-    /// non-positive weights this deep) instead of panicking or silently
-    /// building a poisoned chain.
+    /// rejects an empty graph and re-validates the edge data in place
+    /// (graphs built with the unchecked constructor can smuggle
+    /// non-finite or non-positive weights this deep) instead of panicking
+    /// or silently building a poisoned solver.
     pub fn try_new_laplacian(g: &Graph, options: SddSolverOptions) -> Result<Self, BuildError> {
         if g.n() == 0 {
             return Err(BuildError::EmptyGraph);
         }
-        Graph::validated(g.n(), g.edges().to_vec())?;
+        Graph::validate_edges(g.n(), g.edges())?;
         Ok(Self::new_laplacian(g, options))
     }
 
@@ -195,15 +213,19 @@ impl SddSolver {
     }
 
     fn from_reduction(reduction: GrembanReduction, dim: usize, options: SddSolverOptions) -> Self {
+        let graph = reduction.graph().clone();
+        Self::from_graph(Problem::Sdd(reduction), graph, dim, options)
+    }
+
+    fn from_graph(problem: Problem, graph: Graph, dim: usize, options: SddSolverOptions) -> Self {
         let options = options.sanitized();
-        let chain = build_chain(reduction.graph(), &options.chain);
-        let source_graph = reduction.graph().clone();
         SddSolver {
-            original_dim: dim,
-            problem: Problem::Sdd(reduction),
-            chain,
+            problem,
+            jacobi: build_jacobi_chain(&graph, &options.chain),
+            chain: OnceLock::new(),
             options,
-            source_graph,
+            original_dim: dim,
+            source_graph: graph,
             stronger: OnceLock::new(),
             direct: OnceLock::new(),
         }
@@ -214,74 +236,45 @@ impl SddSolver {
         self.original_dim
     }
 
-    /// The underlying preconditioner chain.
+    /// The full preconditioner chain. It is built on the first call (or
+    /// the first escalating solve, or the recovery ladder, whichever comes
+    /// first) and reused afterwards; a solver whose columns all converge
+    /// in the Jacobi phase never builds it unless asked here.
     pub fn chain(&self) -> &SolverChain {
-        &self.chain
+        self.chain
+            .get_or_init(|| build_chain(&self.source_graph, &self.options.chain))
     }
 
-    /// Chain statistics (level sizes, κ's, recursion width).
+    /// Statistics of the full chain (level sizes, κ's, recursion width);
+    /// builds the chain on first call, like [`chain`](Self::chain).
     pub fn stats(&self) -> ChainStats {
-        self.chain.stats()
+        self.chain().stats()
     }
 
     /// Solves `A x = b` to the configured tolerance.
     pub fn solve(&self, b: &[f64]) -> SolveOutcome {
-        assert_eq!(b.len(), self.original_dim, "rhs dimension mismatch");
-        match &self.problem {
-            Problem::Laplacian => {
-                self.chain
-                    .solve(b, self.options.tolerance, self.options.max_iterations)
-            }
-            Problem::Sdd(reduction) => {
-                let rhs = reduction.reduce_rhs(b);
-                let inner =
-                    self.chain
-                        .solve(&rhs, self.options.tolerance, self.options.max_iterations);
-                SolveOutcome {
-                    x: reduction.recover_solution(&inner.x),
-                    iterations: inner.iterations,
-                    relative_residual: inner.relative_residual,
-                    converged: inner.converged,
-                    breakdown: inner.breakdown,
-                    recovery: inner.recovery,
-                }
-            }
-        }
+        self.solve_with_tolerance(b, self.options.tolerance)
     }
 
     /// Solves with an explicit tolerance override.
     pub fn solve_with_tolerance(&self, b: &[f64], tol: f64) -> SolveOutcome {
-        let mut opts = self.options;
-        opts.tolerance = tol;
-        match &self.problem {
-            Problem::Laplacian => self.chain.solve(b, tol, opts.max_iterations),
-            Problem::Sdd(reduction) => {
-                let rhs = reduction.reduce_rhs(b);
-                let inner = self.chain.solve(&rhs, tol, opts.max_iterations);
-                SolveOutcome {
-                    x: reduction.recover_solution(&inner.x),
-                    iterations: inner.iterations,
-                    relative_residual: inner.relative_residual,
-                    converged: inner.converged,
-                    breakdown: inner.breakdown,
-                    recovery: inner.recovery,
-                }
-            }
-        }
+        self.solve_many_with_tolerance(std::slice::from_ref(&b.to_vec()), tol)
+            .pop()
+            .expect("one column")
     }
 
-    /// Solves `A x_i = b_i` for many right-hand sides against the one
-    /// prebuilt chain, to the configured tolerance.
+    /// Solves `A x_i = b_i` for many right-hand sides, to the configured
+    /// tolerance.
     ///
     /// The right-hand sides travel through the solver as column blocks of
-    /// up to [`MAX_BLOCK_WIDTH`], so every chain level's sparse matrix,
-    /// elimination trace and dense bottom factor is streamed **once per
-    /// block** instead of once per vector — the per-RHS memory traffic the
-    /// single-vector loop pays drops by the block width. Each column keeps
-    /// its own convergence state (converged columns deflate out of the
-    /// block), and the batched answers are **bitwise identical** to
-    /// calling [`solve`](Self::solve) in a loop, at every pool width —
-    /// `solve` itself is just the `k = 1` case of this code path.
+    /// up to [`MAX_BLOCK_WIDTH`], so the Jacobi phase applies the operator
+    /// once per block per iteration instead of once per vector. Each
+    /// column keeps its own convergence state (converged columns deflate
+    /// out of the block), and the batched answers are **bitwise
+    /// identical** to calling [`solve`](Self::solve) in a loop, at every
+    /// pool width — `solve` itself is just the `k = 1` case of this code
+    /// path. Escalated columns are finished on the full chain one at a
+    /// time, each to its own correction tolerance.
     pub fn solve_many(&self, bs: &[Vec<f64>]) -> Vec<SolveOutcome> {
         self.solve_many_with_tolerance(bs, self.options.tolerance)
     }
@@ -294,32 +287,13 @@ impl SddSolver {
             assert_eq!(b.len(), self.original_dim, "rhs dimension mismatch");
         }
         let mut out = Vec::with_capacity(bs.len());
-        for chunk in bs.chunks(MAX_BLOCK_WIDTH.max(1)) {
-            match &self.problem {
-                Problem::Laplacian => {
-                    let block = MultiVector::from_columns(chunk);
-                    out.extend(
-                        self.chain
-                            .solve_block(&block, tol, self.options.max_iterations),
-                    );
-                }
-                Problem::Sdd(reduction) => {
-                    let reduced: Vec<Vec<f64>> =
-                        chunk.iter().map(|b| reduction.reduce_rhs(b)).collect();
-                    let block = MultiVector::from_columns(&reduced);
-                    let inner = self
-                        .chain
-                        .solve_block(&block, tol, self.options.max_iterations);
-                    out.extend(inner.into_iter().map(|o| SolveOutcome {
-                        x: reduction.recover_solution(&o.x),
-                        iterations: o.iterations,
-                        relative_residual: o.relative_residual,
-                        converged: o.converged,
-                        breakdown: o.breakdown,
-                        recovery: o.recovery,
-                    }));
-                }
-            }
+        for chunk in bs.chunks(MAX_BLOCK_WIDTH) {
+            let reduced = self.reduce(chunk);
+            out.extend(
+                self.solve_reduced(&reduced, tol)
+                    .into_iter()
+                    .map(|o| self.recover_solution(o)),
+            );
         }
         out
     }
@@ -381,8 +355,8 @@ impl SddSolver {
         // reduction produces a balanced reduced right-hand side by
         // construction, so no check is needed there.)
         if matches!(self.problem, Problem::Laplacian) {
-            let labels = self.chain.component_labels();
-            let ncomp = self.chain.components();
+            let labels = self.jacobi.component_labels();
+            let ncomp = self.jacobi.components();
             for (j, b) in bs.iter().enumerate() {
                 let bnorm = norm2(b);
                 if bnorm == 0.0 {
@@ -403,23 +377,15 @@ impl SddSolver {
                 }
             }
         }
-        let width = MAX_BLOCK_WIDTH.max(1);
         let mut out = Vec::with_capacity(bs.len());
-        for (ci, chunk) in bs.chunks(width).enumerate() {
-            let reduced: Vec<Vec<f64>> = match &self.problem {
-                Problem::Laplacian => chunk.to_vec(),
-                Problem::Sdd(reduction) => chunk.iter().map(|b| reduction.reduce_rhs(b)).collect(),
-            };
-            let block = MultiVector::from_columns(&reduced);
-            let solved = self
-                .chain
-                .solve_block(&block, tol, self.options.max_iterations);
-            for (c, mut o) in solved.into_iter().enumerate() {
+        for (ci, chunk) in bs.chunks(MAX_BLOCK_WIDTH).enumerate() {
+            let reduced = self.reduce(chunk);
+            for (c, mut o) in self.solve_reduced(&reduced, tol).into_iter().enumerate() {
                 if !o.converged {
                     o = self.recover(&reduced[c], o, tol);
                 }
                 if !o.converged {
-                    let column = ci * width + c;
+                    let column = ci * MAX_BLOCK_WIDTH + c;
                     return Err(match o.breakdown {
                         Some(reason) => SolveError::Breakdown {
                             column,
@@ -434,16 +400,121 @@ impl SddSolver {
                         },
                     });
                 }
-                out.push(match &self.problem {
-                    Problem::Laplacian => o,
-                    Problem::Sdd(reduction) => SolveOutcome {
-                        x: reduction.recover_solution(&o.x),
-                        ..o
-                    },
-                });
+                out.push(self.recover_solution(o));
             }
         }
         Ok(out)
+    }
+
+    /// Right-hand sides in chain space (the Gremban right-hand sides for
+    /// SDD problems).
+    fn reduce<'a>(&self, bs: &'a [Vec<f64>]) -> Cow<'a, [Vec<f64>]> {
+        match &self.problem {
+            Problem::Laplacian => Cow::Borrowed(bs),
+            Problem::Sdd(reduction) => {
+                Cow::Owned(bs.iter().map(|b| reduction.reduce_rhs(b)).collect())
+            }
+        }
+    }
+
+    /// Maps a chain-space outcome back to the original system.
+    fn recover_solution(&self, o: SolveOutcome) -> SolveOutcome {
+        match &self.problem {
+            Problem::Laplacian => o,
+            Problem::Sdd(reduction) => SolveOutcome {
+                x: reduction.recover_solution(&o.x),
+                ..o
+            },
+        }
+    }
+
+    /// Solves one block of chain-space right-hand sides: the Jacobi phase
+    /// for every column, then the full chain for each column that
+    /// escalates.
+    fn solve_reduced(&self, bs: &[Vec<f64>], tol: f64) -> Vec<SolveOutcome> {
+        let (outs, exhausted) = self
+            .jacobi
+            .solve_block_or_escalate(&MultiVector::from_columns(bs), tol);
+        outs.into_iter()
+            .zip(exhausted)
+            .zip(bs)
+            .map(|((o, escalates), b)| {
+                if escalates {
+                    self.escalate(b, o, tol)
+                } else {
+                    o
+                }
+            })
+            .collect()
+    }
+
+    /// Finishes a column whose Jacobi phase used up its budget: one
+    /// residual-correction solve on the full chain (built here on first
+    /// need), measured against the range part of `b` as the Jacobi phase
+    /// measured it. Keeps the Jacobi iterate if the correction does not
+    /// improve on it.
+    fn escalate(&self, b: &[f64], first: SolveOutcome, tol: f64) -> SolveOutcome {
+        let mut b = b.to_vec();
+        project_out_componentwise_constant(
+            &mut b,
+            &self.jacobi.component_labels(),
+            self.jacobi.components(),
+        );
+        let Some((x, corr)) = self.refresh(self.chain(), &b, &first.x, tol) else {
+            return first;
+        };
+        let rel = self.relative_residual(&b, &x);
+        if !improves(rel, &first) {
+            return first;
+        }
+        let converged = rel <= tol;
+        SolveOutcome {
+            x,
+            iterations: first.iterations + corr.iterations,
+            relative_residual: rel,
+            converged,
+            breakdown: if converged { None } else { corr.breakdown },
+            recovery: Vec::new(),
+        }
+    }
+
+    /// One residual-correction solve on `chain` — escalation and ladder
+    /// rung 1 both make it. Recomputes `r = b − A x` (restarting the
+    /// Krylov space on the true residual discards the recurrence drift
+    /// that stalls long PCG runs), solves `A e = r` only as far as needed
+    /// to bring the residual to `tol·‖b‖` — a relative tolerance of
+    /// `tol·‖b‖/‖r‖`, clamped to `[1e-14, 0.5]` — within the outer budget,
+    /// and returns `x + e` with the correction's outcome. `None` when the
+    /// residual is zero or non-finite.
+    fn refresh(
+        &self,
+        chain: &SolverChain,
+        b: &[f64],
+        x: &[f64],
+        tol: f64,
+    ) -> Option<(Vec<f64>, SolveOutcome)> {
+        let ax = self.jacobi.apply_top(x);
+        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+        let rnorm = norm2(&r);
+        if !(rnorm.is_finite() && rnorm > 0.0) {
+            return None;
+        }
+        let ctol = (tol * norm2(b) / rnorm).clamp(1e-14, 0.5);
+        let corr = chain.solve(&r, ctol, self.options.max_iterations);
+        let x = x.iter().zip(&corr.x).map(|(a, e)| a + e).collect();
+        Some((x, corr))
+    }
+
+    /// `‖b − A x‖ / ‖b‖` through the Jacobi chain's operator (the input's
+    /// Laplacian in its permuted storage).
+    fn relative_residual(&self, b: &[f64], x: &[f64]) -> f64 {
+        let ax = self.jacobi.apply_top(x);
+        let s: f64 = b
+            .iter()
+            .zip(&ax)
+            .map(|(bi, ai)| (bi - ai) * (bi - ai))
+            .sum();
+        s.sqrt() / norm2(b)
     }
 
     /// The deterministic recovery ladder (DESIGN.md §2.5). `b` is in chain
@@ -453,39 +524,14 @@ impl SddSolver {
     /// tolerance, and records every attempted rung in the returned
     /// outcome's `recovery` trace.
     fn recover(&self, b: &[f64], first: SolveOutcome, tol: f64) -> SolveOutcome {
-        let bnorm = norm2(b);
         let budget = self.options.max_iterations;
         let mut trace: Vec<RecoveryStep> = Vec::new();
         let mut best = first;
 
-        let rel_of = |x: &[f64]| -> f64 {
-            let ax = self.chain.apply_top(x);
-            let mut s = 0.0;
-            for (bi, ai) in b.iter().zip(&ax) {
-                let d = bi - ai;
-                s += d * d;
-            }
-            s.sqrt() / bnorm
-        };
-        let better = |rel: f64, best: &SolveOutcome| -> bool {
-            // A finite rel beats a NaN incumbent, so don't rewrite this
-            // as `rel < best` (false when the incumbent is NaN).
-            rel.is_finite() && !best.relative_residual.le(&rel)
-        };
-
         // Rung 1: iterate refresh. Re-solve for the residual correction
-        // with the existing chain — restarting the Krylov space on the
-        // *current* residual discards the accumulated rounding drift that
-        // stalls long PCG runs, at the cost of one more (short) solve.
-        let ax = self.chain.apply_top(&best.x);
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-        let rnorm = norm2(&r);
-        if rnorm.is_finite() && rnorm > 0.0 {
-            // The correction only needs to shrink ‖r‖ down to tol·‖b‖.
-            let ctol = (tol * bnorm / rnorm).clamp(1e-14, 0.5);
-            let corr = self.chain.solve(&r, ctol, budget);
-            let x: Vec<f64> = best.x.iter().zip(&corr.x).map(|(a, e)| a + e).collect();
-            let rel = rel_of(&x);
+        // with the full chain, at the cost of one more (short) solve.
+        if let Some((x, corr)) = self.refresh(self.chain(), b, &best.x, tol) {
+            let rel = self.relative_residual(b, &x);
             let converged = rel <= tol;
             trace.push(RecoveryStep {
                 rung: RecoveryRung::IterateRefresh,
@@ -494,7 +540,7 @@ impl SddSolver {
                 converged,
                 breakdown: corr.breakdown,
             });
-            if better(rel, &best) {
+            if improves(rel, &best) {
                 best = SolveOutcome {
                     x,
                     iterations: best.iterations + corr.iterations,
@@ -526,7 +572,7 @@ impl SddSolver {
             build_chain(&self.source_graph, &c.sanitized())
         });
         let out2 = chain2.solve(b, tol, budget.saturating_mul(2));
-        let rel2 = rel_of(&out2.x);
+        let rel2 = self.relative_residual(b, &out2.x);
         trace.push(RecoveryStep {
             rung: RecoveryRung::StrongerChain,
             iterations: out2.iterations,
@@ -534,7 +580,7 @@ impl SddSolver {
             converged: rel2 <= tol,
             breakdown: out2.breakdown,
         });
-        if better(rel2, &best) {
+        if improves(rel2, &best) {
             best = SolveOutcome {
                 relative_residual: rel2,
                 converged: rel2 <= tol,
@@ -562,7 +608,7 @@ impl SddSolver {
                 build_chain(&self.source_graph, &c)
             });
             let out3 = chain3.solve(b, tol, budget);
-            let rel3 = rel_of(&out3.x);
+            let rel3 = self.relative_residual(b, &out3.x);
             trace.push(RecoveryStep {
                 rung: RecoveryRung::DirectFactor,
                 iterations: out3.iterations,
@@ -570,7 +616,7 @@ impl SddSolver {
                 converged: rel3 <= tol,
                 breakdown: out3.breakdown,
             });
-            if better(rel3, &best) {
+            if improves(rel3, &best) {
                 best = SolveOutcome {
                     relative_residual: rel3,
                     converged: rel3 <= tol,
@@ -583,6 +629,13 @@ impl SddSolver {
         best.recovery = trace;
         best
     }
+}
+
+/// Whether an attempt with relative residual `rel` beats the incumbent.
+/// A finite `rel` beats a NaN incumbent, so this is not `rel < best`
+/// (false when the incumbent is NaN).
+fn improves(rel: f64, best: &SolveOutcome) -> bool {
+    rel.is_finite() && !best.relative_residual.le(&rel)
 }
 
 #[cfg(test)]
@@ -795,6 +848,29 @@ mod tests {
     }
 
     #[test]
+    fn try_new_laplacian_names_the_first_bad_edge_in_the_middle() {
+        use parsdd_graph::GraphDataError;
+        // 112 edges take the sequential check, 12 640 the parallel one.
+        for side in [8usize, 80] {
+            let g = generators::grid2d(side, side, |_, _| 1.0);
+            let mut edges = g.edges().to_vec();
+            let mid = edges.len() / 2;
+            edges[mid].w = f64::NAN;
+            edges[mid + 7].w = -1.0;
+            let bad = Graph::from_edges_unchecked(g.n(), edges);
+            let err = SddSolver::try_new_laplacian(&bad, SddSolverOptions::default()).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(BuildError::InvalidGraph(GraphDataError::NonFiniteWeight { edge, .. }))
+                        if edge == mid
+                ),
+                "{side}x{side}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn try_solve_happy_path_matches_solve() {
         let g = generators::grid2d(16, 16, |_, _| 1.0);
         let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
@@ -810,12 +886,66 @@ mod tests {
         }
     }
 
+    /// Two 20-cliques joined by an 800-vertex path, every conductance
+    /// scaled by 10^0..10^4: Jacobi-PCG needs about 10 700 iterations for
+    /// a random right-hand side, far past its 1 680-iteration budget, so
+    /// such columns escalate to the full chain (depth 1, direct bottom).
+    fn escalating_barbell() -> Graph {
+        generators::with_power_law_weights(&generators::barbell(20, 800, 1.0), 4, 1)
+    }
+
+    #[test]
+    fn jacobi_phase_never_builds_the_chain() {
+        let g = generators::grid2d(30, 30, |_, _| 1.0);
+        let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
+        let bs: Vec<Vec<f64>> = (0..3)
+            .map(|s| {
+                let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * (s + 5)) % 11) as f64).collect();
+                project_out_constant(&mut b);
+                b
+            })
+            .collect();
+        assert!(solver.solve(&bs[0]).converged);
+        assert!(solver.solve_many(&bs).iter().all(|o| o.converged));
+        assert!(solver.try_solve_many(&bs).is_ok());
+        assert!(
+            solver.chain.get().is_none(),
+            "a Jacobi-converged solve built the chain"
+        );
+    }
+
+    #[test]
+    fn escalation_builds_the_chain_once() {
+        let g = escalating_barbell();
+        let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
+        let budget = solver.jacobi.jacobi_budget();
+        let bs: Vec<Vec<f64>> = (0..2)
+            .map(|s| {
+                let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * (s + 5)) % 11) as f64).collect();
+                project_out_constant(&mut b);
+                b
+            })
+            .collect();
+        assert!(solver.chain.get().is_none(), "built before any solve");
+        let outs = solver.solve_many(&bs);
+        let built: *const SolverChain = solver.chain.get().expect("escalation builds the chain");
+        let op = LaplacianOp::new(&g);
+        for (b, out) in bs.iter().zip(&outs) {
+            assert!(out.iterations > budget, "column did not escalate");
+            let rel = norm2(&op.residual(&out.x, b)) / norm2(b);
+            assert!(out.converged && rel <= 1.01e-8, "recomputed {rel:e}");
+        }
+        // Later escalations reuse the one chain.
+        assert!(solver.solve(&bs[1]).converged);
+        assert!(std::ptr::eq(built, solver.chain()));
+    }
+
     #[test]
     fn recovery_ladder_rescues_tiny_budget() {
-        // A one-iteration outer budget cannot converge on the barbell
-        // family (near-disconnected clusters; the zoo's hardest case);
-        // the ladder must rescue it and record the escalation.
-        let g = generators::near_disconnected_clusters(3, 150, 300, 1e-3, 0x2005);
+        // A one-iteration outer budget cannot finish a column that
+        // escalates out of its Jacobi phase; the ladder must rescue it and
+        // record the escalation.
+        let g = escalating_barbell();
         let opts = SddSolverOptions {
             max_iterations: 1,
             ..Default::default()

@@ -135,11 +135,12 @@ fn large_grid_deep_chain_beats_depth2_and_is_width_independent() {
     let run = |threads: usize| {
         with_threads(threads, || {
             let solver = SddSolver::new_laplacian(&g, options);
+            let chain = solver.chain();
             assert!(
-                solver.chain().depth() >= 3,
+                chain.depth() >= 3,
                 "determinism run must exercise a deep chain"
             );
-            solver.solve(&b)
+            chain.solve(&b, options.tolerance, options.max_iterations)
         })
     };
     let seq = run(1);

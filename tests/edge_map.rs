@@ -185,8 +185,11 @@ fn pipeline_rhs(n: usize) -> Vec<f64> {
 
 /// Solve through the chain and return the solution bits.
 fn solve_bits(g: &Graph, b: &[f64]) -> Vec<u64> {
-    let solver = SddSolver::new_laplacian(g, SddSolverOptions::default().with_tolerance(1e-10));
-    let out = solver.solve(b);
+    let options = SddSolverOptions::default().with_tolerance(1e-10);
+    let solver = SddSolver::new_laplacian(g, options);
+    let out = solver
+        .chain()
+        .solve(b, options.tolerance, options.max_iterations);
     assert!(
         out.converged,
         "pipeline solve failed: {}",

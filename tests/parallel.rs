@@ -371,10 +371,14 @@ fn pipeline_residuals_identical_at_1_and_n_threads() {
         ..SddSolverOptions::default()
     };
 
+    // The solver's chain solve: with a zero tolerance the front door
+    // would first spend a whole Jacobi-PCG round before escalating to it.
     let run = |threads: usize| {
         with_threads(threads, || {
             let solver = SddSolver::new_laplacian(&g, options);
-            solver.solve(&b)
+            solver
+                .chain()
+                .solve(&b, options.tolerance, options.max_iterations)
         })
     };
     let seq = run(1);

@@ -20,7 +20,7 @@
 //!    stays f64 on both tiers and is byte-identical).
 //! 5. The f32 tier is weight-scale invariant: the f32 operators are
 //!    stored at one power-of-two chain scale, so conductances near 1e36
-//!    or 1e-40 converge like unscaled ones, with no recovery rung.
+//!    or 1e-40 converge like unscaled ones, on the chain's own solve.
 
 use parsdd_bench::zoo::{self, Tier};
 use parsdd_graph::parutil::with_threads;
@@ -191,8 +191,11 @@ fn f64_default_unchanged_with_knob_absent_or_explicit() {
 /// by a constant far outside f32's range (×1e36 and ×1e39 overflow the
 /// products and the factor's pivots, ×1e-40 underflows the coefficients)
 /// must not change how the f32 chain converges. The chain stores its f32
-/// operators at one power-of-two scale, so the scaled solves need no
-/// recovery rung and stay within 10% of the unscaled solve's iterations.
+/// operators at one power-of-two scale, so the scaled chain solves
+/// converge on their own — the solver's chain solve is the first attempt
+/// its recovery ladder would rescue — and stay within 10% of the unscaled
+/// solve's iterations. The chain is the solver's own (`SddSolver::chain`):
+/// the front door's Jacobi phase would finish these grids without it.
 #[test]
 fn f32_chain_is_weight_scale_invariant() {
     use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
@@ -204,27 +207,27 @@ fn f32_chain_is_weight_scale_invariant() {
             (1.0 + ((3 * x + y) % 5) as f64) * scale
         });
         let solver = SddSolver::new_laplacian(&g, opts);
-        assert!(solver.chain().depth() >= 1, "the f32 tier needs levels");
-        solver
-            .try_solve(&rhs(g.n(), 5))
-            .unwrap_or_else(|e| panic!("×{scale:e}: {e:?}"))
+        let chain = solver.chain();
+        assert!(chain.depth() >= 1, "the f32 tier needs levels");
+        chain.solve(&rhs(g.n(), 5), opts.tolerance, opts.max_iterations)
     };
     let base = run(1.0);
-    assert!(base.recovery.is_empty(), "unscaled run needed recovery");
+    assert!(
+        base.converged && base.relative_residual <= TOLERANCE,
+        "unscaled run did not converge"
+    );
     for scale in [1e36, 1e39, 1e-40] {
         let out = run(scale);
         eprintln!(
-            "[precision scale ×{scale:e}] it={} (unscaled {}) rungs={}",
-            out.iterations,
-            base.iterations,
-            out.recovery.len()
+            "[precision scale ×{scale:e}] it={} (unscaled {})",
+            out.iterations, base.iterations
         );
         assert!(
-            out.recovery.is_empty(),
-            "×{scale:e}: needed {} recovery rungs",
-            out.recovery.len()
+            out.converged && out.relative_residual <= TOLERANCE,
+            "×{scale:e}: did not converge (it={} res={:.3e})",
+            out.iterations,
+            out.relative_residual
         );
-        assert!(out.converged && out.relative_residual <= TOLERANCE);
         let (it, it0) = (out.iterations as f64, base.iterations as f64);
         assert!(
             (it - it0).abs() <= 0.1 * it0,

@@ -2,7 +2,10 @@
 //! grid (DESIGN.md §2.4).
 //!
 //! Every family × tier in `parsdd_bench::zoo` is pinned to a quality
-//! envelope, and every case must converge to the 1e-8 tolerance. A case
+//! envelope, and every case's chain must converge to the 1e-8 tolerance
+//! when it solves directly (`SddSolver::chain`, which the Jacobi-first
+//! front door builds only on escalation). The front door itself must
+//! converge on every small and medium case. A case
 //! that builds a chain with levels must keep its depth bounded and its
 //! work per preconditioner application within a per-family budget
 //! (expressed as a multiple of the input edge count, with ≈2× headroom
@@ -139,12 +142,14 @@ fn check(family: &str, tier: Tier) {
     let run = zoo::run(&g, zoo::chain_options(family, tier), TOLERANCE);
     let q = &run.quality;
     eprintln!(
-        "[zoo {family}/{}] n={} m={} it={} res={:.3e} · {}",
+        "[zoo {family}/{}] n={} m={} it={} res={:.3e} · front door it={} res={:.3e} · {}",
         tier.name(),
         g.n(),
         g.m(),
         run.iterations,
         run.relative_residual,
+        run.front_door_iterations,
+        run.front_door_relative_residual,
         q.summary()
     );
     assert!(
@@ -154,6 +159,15 @@ fn check(family: &str, tier: Tier) {
         run.iterations,
         run.relative_residual
     );
+    if tier != Tier::Large {
+        assert!(
+            run.front_door_converged && run.front_door_relative_residual <= TOLERANCE,
+            "{family}/{}: front door not converged (it={} res={:.3e})",
+            tier.name(),
+            run.front_door_iterations,
+            run.front_door_relative_residual
+        );
+    }
     match e.shape {
         Shape::Levels {
             max_depth,
@@ -359,12 +373,15 @@ fn adaptive_selection_converges_off_grid() {
         opts.chain = ChainOptions::default().with_adaptive();
         let solver = SddSolver::new_laplacian(&g, opts);
         let b = parsdd_bench::workloads::rhs(g.n(), 7);
-        let out = solver.solve(&b);
+        // The adaptive chain's own solve: the front door's Jacobi phase
+        // would finish these cases without building it.
+        let chain = solver.chain();
+        let out = chain.solve(&b, opts.tolerance, opts.max_iterations);
         eprintln!(
             "[zoo adaptive {family}/small] it={} res={:.3e} · {}",
             out.iterations,
             out.relative_residual,
-            solver.chain().quality().summary()
+            chain.quality().summary()
         );
         assert!(
             out.converged && out.relative_residual <= TOLERANCE,
