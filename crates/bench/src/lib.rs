@@ -97,6 +97,15 @@ pub mod workloads {
             .collect()
     }
 
+    /// A barbell on which the solver's Jacobi phase escalates: two
+    /// 20-cliques joined by an 800-vertex path, every conductance scaled
+    /// by 10^0..10^4. Jacobi-PCG needs about 10 700 iterations for a
+    /// random right-hand side, past its 1 680-iteration budget, so such
+    /// columns are finished on the full chain (depth 1, direct bottom).
+    pub fn escalating_barbell() -> Graph {
+        generators::with_power_law_weights(&generators::barbell(20, 800, 1.0), 4, 1)
+    }
+
     /// A balanced right-hand side for a graph of `n` vertices.
     pub fn rhs(n: usize, seed: u64) -> Vec<f64> {
         let mut b: Vec<f64> = (0..n)

@@ -6,7 +6,7 @@
 //! CI reruns this suite under `PARSDD_PRECISION=f32`, so the f32 chain is
 //! still driven through the front door.
 
-use parsdd_bench::workloads::rhs;
+use parsdd_bench::workloads::{escalating_barbell, rhs};
 use parsdd_graph::parutil::with_threads;
 use parsdd_graph::{generators, Graph};
 use parsdd_linalg::laplacian::LaplacianOp;
@@ -22,12 +22,6 @@ const TOLERANCE: f64 = 1e-8;
 /// Jacobi-PCG needs about 5 400 iterations, its budget is 2 000.
 fn weighted_ladder() -> Graph {
     generators::with_power_law_weights(&generators::grid2d(500, 2, |_, _| 1.0), 4, 1)
-}
-
-/// Two 20-cliques joined by an 800-vertex path, conductances over four
-/// decades: Jacobi-PCG needs about 10 700 iterations, its budget is 1 680.
-fn escalating_barbell() -> Graph {
-    generators::with_power_law_weights(&generators::barbell(20, 800, 1.0), 4, 1)
 }
 
 /// Iterations of one Jacobi-PCG round of the front door on `g`.

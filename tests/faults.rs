@@ -25,15 +25,6 @@ fn barbell() -> Graph {
     generators::near_disconnected_clusters(3, 150, 300, 1e-3, 0x2005)
 }
 
-/// A barbell whose Jacobi phase escalates: two 20-cliques joined by an
-/// 800-vertex path, every conductance scaled by 10^0..10^4. Jacobi-PCG
-/// needs about 10 700 iterations on it, past its 1 680-iteration budget,
-/// so a solve reaches the full chain (depth 1, direct bottom) — and with
-/// a starved outer budget, the recovery ladder.
-fn escalating_barbell() -> Graph {
-    generators::with_power_law_weights(&generators::barbell(20, 800, 1.0), 4, 1)
-}
-
 fn balanced_rhs(n: usize, seed: u64) -> Vec<f64> {
     let mut b: Vec<f64> = (0..n)
         .map(|i| (((i as u64).wrapping_mul(seed.wrapping_add(11))) % 23) as f64 - 11.0)
@@ -172,13 +163,13 @@ fn every_planned_fault_is_classified_or_recovered() {
     }
 }
 
-/// The recovery ladder end-to-end on a barbell: a starved outer budget
-/// fails the plain solve once the Jacobi phase escalates, the fallible
-/// front door climbs the ladder deterministically, records the trace, and
-/// returns a converged answer.
+/// The recovery ladder end-to-end on a barbell whose Jacobi phase
+/// escalates: a starved outer budget fails the plain solve on the chain,
+/// the fallible front door climbs the ladder deterministically, records
+/// the trace, and returns a converged answer.
 #[test]
 fn recovery_ladder_end_to_end_on_barbell() {
-    let g = escalating_barbell();
+    let g = parsdd_bench::workloads::escalating_barbell();
     let opts = SddSolverOptions {
         max_iterations: 1,
         ..Default::default()
@@ -224,7 +215,7 @@ fn recovery_ladder_end_to_end_on_barbell() {
 #[test]
 fn f32_chain_breakdown_escalates_to_f64_rungs() {
     use parsdd_solver::chain::Precision;
-    let g = escalating_barbell();
+    let g = parsdd_bench::workloads::escalating_barbell();
     let mut opts = SddSolverOptions {
         max_iterations: 1,
         ..Default::default()
