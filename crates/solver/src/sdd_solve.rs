@@ -941,6 +941,34 @@ mod tests {
     }
 
     #[test]
+    fn escalation_through_gremban_reduction() {
+        // The escalating barbell's Laplacian plus 1e-3 on the diagonal: an
+        // SDD matrix whose reduced (Gremban) system escalates too, so the
+        // correction runs on the reduced system's chain.
+        let g = escalating_barbell();
+        let lap = parsdd_linalg::laplacian::laplacian_of(&g);
+        let n = g.n();
+        let mut trips: Vec<(u32, u32, f64)> = Vec::new();
+        for r in 0..n {
+            for (c, v) in lap.row(r) {
+                trips.push((r as u32, c, v));
+            }
+        }
+        for i in 0..n as u32 {
+            trips.push((i, i, 1e-3));
+        }
+        let a = CsrMatrix::from_triplets(n, n, &trips);
+        let solver = SddSolver::new_sdd(&a, SddSolverOptions::default());
+        let budget = solver.jacobi.jacobi_budget();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let out = solver.try_solve(&b).expect("escalation converges");
+        assert!(out.iterations > budget, "the column did not escalate");
+        assert!(out.recovery.is_empty(), "{:?}", out.recovery);
+        let rel = norm2(&sub(&b, &a.apply_vec(&out.x))) / norm2(&b);
+        assert!(rel <= 1e-6, "residual {rel:e}");
+    }
+
+    #[test]
     fn recovery_ladder_rescues_tiny_budget() {
         // A one-iteration outer budget cannot finish a column that
         // escalates out of its Jacobi phase; the ladder must rescue it and
