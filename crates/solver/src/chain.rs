@@ -1111,10 +1111,7 @@ fn scatter_block_rm(src: &[f64], perm: &[u32], z: &mut MultiVector) {
 /// anything except the top-level boundary vectors.
 pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     let options = options.sanitized();
-    let input_m = g.m().max(1);
-    let bottom_target = options
-        .bottom_size
-        .max((input_m as f64).powf(options.bottom_exponent).ceil() as usize);
+    let bottom_target = bottom_target(g, &options);
 
     let mut levels: Vec<ChainLevel> = Vec::new();
     // Each level's merged rows, built in f64; stored at the chain's width
@@ -1125,10 +1122,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     let (mut current, top_perm) = permuted_input(g, options.ordering);
     let mut seed = options.seed;
 
-    while current.n() > bottom_target
-        && current.m() > current.n()
-        && levels.len() < options.max_levels
-    {
+    while recurses(&current, bottom_target, levels.len(), &options) {
         seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
 
         // 1. Low-stretch ultra-sparse subgraph of the current level.
@@ -1330,7 +1324,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // by running that Krylov method once at the top. Drop the levels: the
     // chain becomes a zero-level Jacobi chain over the permuted input
     // (level 0's graph, already in the top permutation's order).
-    let jacobi = current.m() > 0 && current.n() > options.dense_bottom_limit;
+    let jacobi = iterative_bottom(&current, &options);
     if jacobi && !levels.is_empty() {
         current = std::mem::take(&mut levels)
             .into_iter()
@@ -1342,18 +1336,45 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     assemble(levels, matrices, current, top_perm, options, jacobi)
 }
 
-/// Builds the zero-level Jacobi chain for the Laplacian of `g`: the
+/// Builds the chain [`crate::sdd_solve::SddSolver`] solves on first.
+/// When [`build_chain`]'s recursion would not run on the input (at most
+/// its bottom target of vertices, or no more edges than vertices), this
+/// is that chain, bit for bit: one direct factor solve, or the
+/// zero-level Jacobi chain above `dense_bottom_limit`. Otherwise it is the zero-level Jacobi chain — the
 /// simplified input in the configured [`LevelOrdering`]'s index space,
-/// solved by one top-level Jacobi-PCG with residual replacement — the
-/// chain [`build_chain`] collapses to when its recursion ends above
-/// `dense_bottom_limit`. It never recurses: no subgraph, sampling,
-/// elimination or calibration, so it costs one simplify, one ordering
-/// pass and one component labelling. The options are
-/// [`ChainOptions::sanitized`] first; only the ordering is read.
-pub fn build_jacobi_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
+/// solved by one top-level Jacobi-PCG with residual replacement — built
+/// without the recursion: no subgraph, sampling, elimination or
+/// calibration, so it costs one simplify, one ordering pass and one
+/// component labelling. The options are [`ChainOptions::sanitized`]
+/// first.
+pub fn build_front_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     let options = options.sanitized();
     let (current, top_perm) = permuted_input(g, options.ordering);
-    assemble(Vec::new(), Vec::new(), current, top_perm, options, true)
+    let jacobi = recurses(&current, bottom_target(g, &options), 0, &options)
+        || iterative_bottom(&current, &options);
+    assemble(Vec::new(), Vec::new(), current, top_perm, options, jacobi)
+}
+
+/// Vertex count at or below which [`build_chain`] stops recursing:
+/// `bottom_size`, or `m^bottom_exponent` of the input if larger.
+fn bottom_target(g: &Graph, options: &ChainOptions) -> usize {
+    let input_m = g.m().max(1);
+    options
+        .bottom_size
+        .max((input_m as f64).powf(options.bottom_exponent).ceil() as usize)
+}
+
+/// Whether [`build_chain`] builds another level below `current`, with
+/// `depth` levels built so far. A system with no more edges than
+/// vertices (a forest, or one cycle) never recurses.
+fn recurses(current: &Graph, bottom_target: usize, depth: usize, options: &ChainOptions) -> bool {
+    current.n() > bottom_target && current.m() > current.n() && depth < options.max_levels
+}
+
+/// Whether the system a recursion ends on is too large to factor
+/// directly (Fact 6.4), which makes the chain a zero-level Jacobi chain.
+fn iterative_bottom(current: &Graph, options: &ChainOptions) -> bool {
+    current.m() > 0 && current.n() > options.dense_bottom_limit
 }
 
 /// The simplified input relabelled into the `ordering`'s index space,
@@ -1804,17 +1825,13 @@ impl SolverChain {
     /// row-major solution and each column's Jacobi-PCG iterations, restarts
     /// included. Every column's arithmetic is independent of the block.
     ///
-    /// With `escalate` set, a column whose first round uses up
-    /// [`Self::jacobi_budget`] without converging skips the replacement
-    /// rounds and is flagged in the third returned vector: Jacobi-PCG is
-    /// the wrong solver for it, and the caller finishes it on a full chain.
-    fn jacobi_solve_rm(
-        &self,
-        b: &[f64],
-        k: usize,
-        tol: f64,
-        escalate: bool,
-    ) -> (Vec<f64>, Vec<usize>, Vec<bool>) {
+    /// A column whose first round uses up [`Self::jacobi_budget`] without
+    /// converging gets no replacement rounds: a restart from its residual
+    /// discards the Krylov space the round built and rarely rescues it.
+    /// It returns unconverged after exactly `jacobi_budget()` iterations,
+    /// which is how [`crate::sdd_solve::SddSolver`] tells that it needs the
+    /// full chain.
+    fn jacobi_solve_rm(&self, b: &[f64], k: usize, tol: f64) -> (Vec<f64>, Vec<usize>) {
         let op = LaplacianOp::new(&self.bottom_graph);
         let jacobi = JacobiPreconditioner::from_laplacian(&op);
         let options = |tol| CgOptions {
@@ -1824,18 +1841,15 @@ impl SolverChain {
         let b = MultiVector::from_rowmajor(b, k);
         let mut cols = Vec::with_capacity(k);
         let mut iterations = Vec::with_capacity(k);
-        let mut exhausted = Vec::with_capacity(k);
         for (j, first) in block_pcg_solve(&op, &jacobi, &b, &options(tol))
             .into_iter()
             .enumerate()
         {
             let bj = b.col(j);
             let bnorm = norm2(bj);
-            let escalates =
-                escalate && !first.converged && first.iterations >= self.jacobi_budget();
-            exhausted.push(escalates);
+            let exhausted = !first.converged && first.iterations >= self.jacobi_budget();
             let (mut x, mut its) = (first.x, first.iterations);
-            let rounds = if escalates {
+            let rounds = if exhausted {
                 0
             } else {
                 Self::MAX_RESIDUAL_REPLACEMENTS
@@ -1860,11 +1874,7 @@ impl SolverChain {
             cols.push(x);
             iterations.push(its);
         }
-        (
-            MultiVector::from_columns(&cols).to_rowmajor(),
-            iterations,
-            exhausted,
-        )
+        (MultiVector::from_columns(&cols).to_rowmajor(), iterations)
     }
 
     /// Applies the level-`i` preconditioner `B_i⁻¹ R` to `k` row-major
@@ -2183,32 +2193,16 @@ impl SolverChain {
         tol: f64,
         max_iterations: usize,
     ) -> Vec<SolveOutcome> {
-        self.with_workspace(|ws| self.solve_block_ws(b, tol, max_iterations, false, ws))
-            .0
+        self.with_workspace(|ws| self.solve_block_ws(b, tol, max_iterations, ws))
     }
 
-    /// The Jacobi phase of the solver's front door (DESIGN.md §2.9):
-    /// [`solve_block`](Self::solve_block) on a Jacobi chain, except that a
-    /// column whose first Jacobi-PCG round uses up
-    /// [`jacobi_budget`](Self::jacobi_budget) without converging returns
-    /// unconverged at once, flagged `true` in the second vector, for the
-    /// caller to finish on the full chain. Columns are still independent:
-    /// each outcome and flag is that of the column solved alone.
-    pub(crate) fn solve_block_or_escalate(
-        &self,
-        b: &MultiVector,
-        tol: f64,
-    ) -> (Vec<SolveOutcome>, Vec<bool>) {
-        assert!(
-            matches!(self.tier, Tier::Jacobi),
-            "only a Jacobi chain escalates"
-        );
-        self.with_workspace(|ws| self.solve_block_ws(b, tol, 0, true, ws))
+    /// Whether this is a zero-level Jacobi chain (no direct bottom; every
+    /// solve is one top-level Jacobi-PCG).
+    pub(crate) fn is_jacobi(&self) -> bool {
+        matches!(self.tier, Tier::Jacobi)
     }
 
-    /// [`solve_block`](Self::solve_block) on a checked-out workspace, with
-    /// [`solve_block_or_escalate`](Self::solve_block_or_escalate)'s flags
-    /// (all `false` unless `escalate` is set on a Jacobi chain). The
+    /// [`solve_block`](Self::solve_block) on a checked-out workspace. The
     /// outer iteration keeps its own locals (allocated once per solve and
     /// reused across iterations), so together with the workspace-threaded
     /// W-cycle no per-*iteration* heap allocation remains on the
@@ -2219,9 +2213,8 @@ impl SolverChain {
         b: &MultiVector,
         tol: f64,
         max_iterations: usize,
-        escalate: bool,
         ws: &mut ChainWorkspace,
-    ) -> (Vec<SolveOutcome>, Vec<bool>) {
+    ) -> Vec<SolveOutcome> {
         let top_matrix = self.top_operator();
         let n = top_matrix.n();
         assert_eq!(b.nrows(), n, "right-hand side has wrong dimension");
@@ -2237,7 +2230,6 @@ impl SolverChain {
             .map(f64::sqrt)
             .collect();
         let mut outcomes: Vec<Option<SolveOutcome>> = (0..k).map(|_| None).collect();
-        let mut exhausted = vec![false; k];
         let mut active: Vec<usize> = Vec::with_capacity(k);
         for j in 0..k {
             if bnorms[j] == 0.0 {
@@ -2261,12 +2253,12 @@ impl SolverChain {
             if !active.is_empty() {
                 let ka = active.len();
                 let ba = compact_columns_rm(&rr, k, &active);
-                let (xa, column_iterations, column_exhausted) = if let Tier::Jacobi = self.tier {
-                    self.jacobi_solve_rm(&ba, ka, tol, escalate)
+                let (xa, column_iterations) = if let Tier::Jacobi = self.tier {
+                    self.jacobi_solve_rm(&ba, ka, tol)
                 } else {
                     let mut xa = Vec::new();
                     self.apply_preconditioner(&ba, ka, &mut xa, ws);
-                    (xa, vec![1; ka], vec![false; ka])
+                    (xa, vec![1; ka])
                 };
                 let mut diff = vec![0.0f64; n * ka];
                 self.bottom_matrix.apply_rowmajor(&xa, &mut diff, ka);
@@ -2275,7 +2267,6 @@ impl SolverChain {
                 }
                 let rn = colwise_dots_rm(&diff, &diff, ka);
                 for (c, &j) in active.iter().enumerate() {
-                    exhausted[j] = column_exhausted[c];
                     let rel = rn[c].sqrt() / bnorms[j];
                     let x = (0..n).map(|i| xa[perm[i] as usize * ka + c]).collect();
                     outcomes[j] = Some(SolveOutcome {
@@ -2292,12 +2283,18 @@ impl SolverChain {
                     });
                 }
             }
-            return (resolved(outcomes), exhausted);
+            return outcomes
+                .into_iter()
+                .map(|o| o.expect("every column resolved"))
+                .collect();
         }
 
         if active.is_empty() {
             // Every column was in the null space: all outcomes are set.
-            return (resolved(outcomes), exhausted);
+            return outcomes
+                .into_iter()
+                .map(|o| o.expect("every column resolved"))
+                .collect();
         }
 
         // Flexible PCG with the recursive chain preconditioner at level 0.
@@ -2494,16 +2491,11 @@ impl SolverChain {
                 });
             }
         }
-        (resolved(outcomes), exhausted)
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every column resolved"))
+            .collect()
     }
-}
-
-/// Unwraps a block's per-column outcomes once every column is set.
-fn resolved(outcomes: Vec<Option<SolveOutcome>>) -> Vec<SolveOutcome> {
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every column resolved"))
-        .collect()
 }
 
 /// Gathers the listed columns of a row-major block of width `k` into a

@@ -6,19 +6,22 @@
 //! reduction) and answers any number of right-hand sides to the requested
 //! accuracy `‖x̃ − A⁺b‖_A ≤ ε·‖A⁺b‖_A`.
 //!
-//! **Jacobi first** (DESIGN.md §2.9). Construction builds only a
-//! zero-level Jacobi chain ([`build_jacobi_chain`]) over the simplified,
-//! bandwidth-ordered input: no subgraph, sampling, elimination or
-//! calibration. Every solve runs blocked Jacobi-PCG with true-residual
-//! replacement on it. A column whose first Jacobi-PCG round uses up
+//! **Jacobi first** (DESIGN.md §2.9). Construction builds only the
+//! front chain ([`build_front_chain`]) over the simplified,
+//! bandwidth-ordered input: a zero-level Jacobi chain, with no subgraph,
+//! sampling, elimination or calibration — or, for an input on which the
+//! full chain would not recurse (at most its bottom target of vertices,
+//! or no more edges than vertices), the full chain itself, one direct
+//! factor solve. Every solve runs on the front chain: blocked Jacobi-PCG
+//! with true-residual replacement. A column whose first Jacobi-PCG round uses up
 //! [`SolverChain::jacobi_budget`] without converging **escalates**: the
 //! full preconditioner chain ([`build_chain`]) is built once, on first
-//! need, and solves that column's residual correction within
-//! [`SddSolverOptions::max_iterations`]. Most inputs of benchmark size
-//! never build the chain, whose build alone costs more than Jacobi-PCG's
-//! whole solve there; the Jacobi phase is capped at a constant number of
-//! rounds, so it adds O(m) work per column and the chain's work and depth
-//! bounds still hold for the inputs that need it.
+//! need, and the block's escalated columns are solved on it afresh, as
+//! one block, within [`SddSolverOptions::max_iterations`]. Most inputs of
+//! benchmark size never build the chain, whose build alone costs more
+//! than Jacobi-PCG's whole solve there; the Jacobi phase is one round of
+//! a constant budget, so it adds O(m) work per column and the chain's
+//! work and depth bounds still hold for the inputs that need it.
 //!
 //! Two front doors share this path:
 //!
@@ -37,7 +40,8 @@
 //!
 //! Batched answers are bitwise identical to looped ones, escalated
 //! columns included: every column's Jacobi phase, escalation and ladder
-//! are functions of that column alone.
+//! are functions of that column alone, and the chain's block solve
+//! answers each column as its solo solve does.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -46,10 +50,10 @@ use parsdd_graph::Graph;
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::csr::CsrMatrix;
 use parsdd_linalg::sdd::GrembanReduction;
-use parsdd_linalg::vector::{norm2, project_out_componentwise_constant};
+use parsdd_linalg::vector::norm2;
 
 use crate::chain::{
-    build_chain, build_jacobi_chain, ChainOptions, ChainStats, SolveOutcome, SolverChain,
+    build_chain, build_front_chain, ChainOptions, ChainStats, SolveOutcome, SolverChain,
 };
 use crate::error::{BuildError, RecoveryRung, RecoveryStep, SolveError};
 
@@ -77,7 +81,8 @@ const DIRECT_RECOVERY_LIMIT: usize = 20_000;
 pub struct SddSolverOptions {
     /// Construction options of the full chain (built only for columns
     /// that escalate, for the recovery ladder, or on a call to
-    /// [`SddSolver::chain`]); the Jacobi phase reads only the ordering.
+    /// [`SddSolver::chain`]); a Jacobi front chain reads only the
+    /// ordering.
     pub chain: ChainOptions,
     /// Relative residual tolerance (a practical surrogate for the
     /// `A`-norm bound of Theorem 1.1; the two are within a factor of the
@@ -86,7 +91,7 @@ pub struct SddSolverOptions {
     /// Outer-iteration budget of the chain phase: the full chain's
     /// flexible-PCG iterations per escalated column, and per ladder rung
     /// (rung 2 gets twice this). The Jacobi phase has its own budget,
-    /// [`SolverChain::jacobi_budget`] iterations per round.
+    /// [`SolverChain::jacobi_budget`] iterations.
     pub max_iterations: usize,
 }
 
@@ -152,11 +157,13 @@ enum Problem {
 /// The top-level SDD solver (Theorem 1.1): build once, solve many.
 pub struct SddSolver {
     problem: Problem,
-    /// The zero-level Jacobi chain every solve starts on.
-    jacobi: SolverChain,
-    /// The full preconditioner chain, built on first need: an escalating
-    /// column, the recovery ladder, or a call to [`chain`](Self::chain)
-    /// or [`stats`](Self::stats).
+    /// The chain every solve starts on ([`build_front_chain`]): a
+    /// zero-level Jacobi chain, or the full chain itself when that is one
+    /// direct factor solve.
+    front: SolverChain,
+    /// The full preconditioner chain behind a Jacobi front chain, built on
+    /// first need: an escalating column, the recovery ladder, or a call
+    /// to [`chain`](Self::chain) or [`stats`](Self::stats).
     chain: OnceLock<SolverChain>,
     options: SddSolverOptions,
     original_dim: usize,
@@ -221,7 +228,7 @@ impl SddSolver {
         let options = options.sanitized();
         SddSolver {
             problem,
-            jacobi: build_jacobi_chain(&graph, &options.chain),
+            front: build_front_chain(&graph, &options.chain),
             chain: OnceLock::new(),
             options,
             original_dim: dim,
@@ -236,11 +243,15 @@ impl SddSolver {
         self.original_dim
     }
 
-    /// The full preconditioner chain. It is built on the first call (or
-    /// the first escalating solve, or the recovery ladder, whichever comes
-    /// first) and reused afterwards; a solver whose columns all converge
-    /// in the Jacobi phase never builds it unless asked here.
+    /// The full preconditioner chain. Behind a Jacobi front chain it is
+    /// built on the first call (or the first escalating solve, or the
+    /// recovery ladder, whichever comes first) and reused afterwards; a
+    /// solver whose columns all converge in the Jacobi phase never builds
+    /// it unless asked here. A direct front chain is the full chain.
     pub fn chain(&self) -> &SolverChain {
+        if !self.front.is_jacobi() {
+            return &self.front;
+        }
         self.chain
             .get_or_init(|| build_chain(&self.source_graph, &self.options.chain))
     }
@@ -273,8 +284,8 @@ impl SddSolver {
     /// out of the block), and the batched answers are **bitwise
     /// identical** to calling [`solve`](Self::solve) in a loop, at every
     /// pool width — `solve` itself is just the `k = 1` case of this code
-    /// path. Escalated columns are finished on the full chain one at a
-    /// time, each to its own correction tolerance.
+    /// path. A block's escalated columns are solved on the full chain as
+    /// one narrower block.
     pub fn solve_many(&self, bs: &[Vec<f64>]) -> Vec<SolveOutcome> {
         self.solve_many_with_tolerance(bs, self.options.tolerance)
     }
@@ -355,8 +366,8 @@ impl SddSolver {
         // reduction produces a balanced reduced right-hand side by
         // construction, so no check is needed there.)
         if matches!(self.problem, Problem::Laplacian) {
-            let labels = self.jacobi.component_labels();
-            let ncomp = self.jacobi.components();
+            let labels = self.front.component_labels();
+            let ncomp = self.front.components();
             for (j, b) in bs.iter().enumerate() {
                 let bnorm = norm2(b);
                 if bnorm == 0.0 {
@@ -428,87 +439,43 @@ impl SddSolver {
         }
     }
 
-    /// Solves one block of chain-space right-hand sides: the Jacobi phase
-    /// for every column, then the full chain for each column that
-    /// escalates.
+    /// Solves one block of chain-space right-hand sides on the front
+    /// chain, then the columns that escalate out of its Jacobi phase on
+    /// the full chain, afresh and as one block. An escalated column
+    /// reports both phases' iterations.
     fn solve_reduced(&self, bs: &[Vec<f64>], tol: f64) -> Vec<SolveOutcome> {
-        let (outs, exhausted) = self
-            .jacobi
-            .solve_block_or_escalate(&MultiVector::from_columns(bs), tol);
-        outs.into_iter()
-            .zip(exhausted)
-            .zip(bs)
-            .map(|((o, escalates), b)| {
-                if escalates {
-                    self.escalate(b, o, tol)
-                } else {
-                    o
-                }
-            })
-            .collect()
+        let budget = self.options.max_iterations;
+        let mut outs = self
+            .front
+            .solve_block(&MultiVector::from_columns(bs), tol, budget);
+        let escalated: Vec<usize> = (0..outs.len())
+            .filter(|&j| !outs[j].converged && outs[j].iterations >= self.front.jacobi_budget())
+            .collect();
+        if escalated.is_empty() {
+            return outs;
+        }
+        let chain = self.chain();
+        if chain.is_jacobi() {
+            // The full chain collapsed to the front chain (DESIGN.md
+            // §2.4): solving again would repeat the Jacobi phase bit for
+            // bit.
+            return outs;
+        }
+        let block: Vec<Vec<f64>> = escalated.iter().map(|&j| bs[j].clone()).collect();
+        let finished = chain.solve_block(&MultiVector::from_columns(&block), tol, budget);
+        for (j, o) in escalated.into_iter().zip(finished) {
+            outs[j] = SolveOutcome {
+                iterations: outs[j].iterations + o.iterations,
+                ..o
+            };
+        }
+        outs
     }
 
-    /// Finishes a column whose Jacobi phase used up its budget: one
-    /// residual-correction solve on the full chain (built here on first
-    /// need), measured against the range part of `b` as the Jacobi phase
-    /// measured it. Keeps the Jacobi iterate if the correction does not
-    /// improve on it.
-    fn escalate(&self, b: &[f64], first: SolveOutcome, tol: f64) -> SolveOutcome {
-        let mut b = b.to_vec();
-        project_out_componentwise_constant(
-            &mut b,
-            &self.jacobi.component_labels(),
-            self.jacobi.components(),
-        );
-        let Some((x, corr)) = self.refresh(self.chain(), &b, &first.x, tol) else {
-            return first;
-        };
-        let rel = self.relative_residual(&b, &x);
-        if !improves(rel, &first) {
-            return first;
-        }
-        let converged = rel <= tol;
-        SolveOutcome {
-            x,
-            iterations: first.iterations + corr.iterations,
-            relative_residual: rel,
-            converged,
-            breakdown: if converged { None } else { corr.breakdown },
-            recovery: Vec::new(),
-        }
-    }
-
-    /// One residual-correction solve on `chain` — escalation and ladder
-    /// rung 1 both make it. Recomputes `r = b − A x` (restarting the
-    /// Krylov space on the true residual discards the recurrence drift
-    /// that stalls long PCG runs), solves `A e = r` only as far as needed
-    /// to bring the residual to `tol·‖b‖` — a relative tolerance of
-    /// `tol·‖b‖/‖r‖`, clamped to `[1e-14, 0.5]` — within the outer budget,
-    /// and returns `x + e` with the correction's outcome. `None` when the
-    /// residual is zero or non-finite.
-    fn refresh(
-        &self,
-        chain: &SolverChain,
-        b: &[f64],
-        x: &[f64],
-        tol: f64,
-    ) -> Option<(Vec<f64>, SolveOutcome)> {
-        let ax = self.jacobi.apply_top(x);
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-        let rnorm = norm2(&r);
-        if !(rnorm.is_finite() && rnorm > 0.0) {
-            return None;
-        }
-        let ctol = (tol * norm2(b) / rnorm).clamp(1e-14, 0.5);
-        let corr = chain.solve(&r, ctol, self.options.max_iterations);
-        let x = x.iter().zip(&corr.x).map(|(a, e)| a + e).collect();
-        Some((x, corr))
-    }
-
-    /// `‖b − A x‖ / ‖b‖` through the Jacobi chain's operator (the input's
+    /// `‖b − A x‖ / ‖b‖` through the front chain's operator (the input's
     /// Laplacian in its permuted storage).
     fn relative_residual(&self, b: &[f64], x: &[f64]) -> f64 {
-        let ax = self.jacobi.apply_top(x);
+        let ax = self.front.apply_top(x);
         let s: f64 = b
             .iter()
             .zip(&ax)
@@ -529,8 +496,17 @@ impl SddSolver {
         let mut best = first;
 
         // Rung 1: iterate refresh. Re-solve for the residual correction
-        // with the full chain, at the cost of one more (short) solve.
-        if let Some((x, corr)) = self.refresh(self.chain(), b, &best.x, tol) {
+        // with the full chain — restarting the Krylov space on the
+        // *current* residual discards the accumulated rounding drift that
+        // stalls long PCG runs, at the cost of one more (short) solve.
+        let ax = self.front.apply_top(&best.x);
+        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+        let rnorm = norm2(&r);
+        if rnorm.is_finite() && rnorm > 0.0 {
+            // The correction only needs to shrink ‖r‖ down to tol·‖b‖.
+            let ctol = (tol * norm2(b) / rnorm).clamp(1e-14, 0.5);
+            let corr = self.chain().solve(&r, ctol, budget);
+            let x: Vec<f64> = best.x.iter().zip(&corr.x).map(|(a, e)| a + e).collect();
             let rel = self.relative_residual(b, &x);
             let converged = rel <= tol;
             trace.push(RecoveryStep {
@@ -898,6 +874,7 @@ mod tests {
     fn jacobi_phase_never_builds_the_chain() {
         let g = generators::grid2d(30, 30, |_, _| 1.0);
         let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
+        assert!(solver.front.is_jacobi());
         let bs: Vec<Vec<f64>> = (0..3)
             .map(|s| {
                 let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * (s + 5)) % 11) as f64).collect();
@@ -915,10 +892,34 @@ mod tests {
     }
 
     #[test]
+    fn inputs_the_chain_factors_directly_solve_in_one_iteration() {
+        // A 3 000-vertex path and a weighted random tree (no more edges
+        // than vertices, under `dense_bottom_limit`) and a 15 × 15 grid
+        // (under the bottom target): the full chain is one direct factor,
+        // and the front door solves on it at once instead of spending
+        // Jacobi-PCG rounds first.
+        for g in [
+            generators::path(3000, 1.0),
+            generators::with_power_law_weights(&generators::random_tree(3000, 1.0, 5), 4, 2),
+            generators::grid2d(15, 15, |_, _| 1.0),
+        ] {
+            let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
+            let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+            project_out_constant(&mut b);
+            let out = solver.solve(&b);
+            let rel = norm2(&LaplacianOp::new(&g).residual(&out.x, &b)) / norm2(&b);
+            assert_eq!(out.iterations, 1, "n = {}", g.n());
+            assert!(out.converged && rel <= 1e-8, "n = {}: {rel:e}", g.n());
+            assert!(std::ptr::eq(solver.chain(), &solver.front));
+            assert!(solver.chain.get().is_none(), "a second chain was built");
+        }
+    }
+
+    #[test]
     fn escalation_builds_the_chain_once() {
         let g = escalating_barbell();
         let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
-        let budget = solver.jacobi.jacobi_budget();
+        let budget = solver.front.jacobi_budget();
         let bs: Vec<Vec<f64>> = (0..2)
             .map(|s| {
                 let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * (s + 5)) % 11) as f64).collect();
@@ -941,6 +942,27 @@ mod tests {
     }
 
     #[test]
+    fn escalation_into_a_jacobi_chain_is_not_solved_twice() {
+        // A weighted path above a lowered `dense_bottom_limit`: the full
+        // chain collapses to the front chain itself, so an escalating
+        // column keeps its one Jacobi round; the ladder then finishes it.
+        let g = generators::with_power_law_weights(&generators::path(500, 1.0), 6, 3);
+        let opts = SddSolverOptions::default().with_chain(ChainOptions {
+            dense_bottom_limit: 200,
+            ..Default::default()
+        });
+        let solver = SddSolver::new_laplacian(&g, opts);
+        let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        project_out_constant(&mut b);
+        let out = solver.solve(&b);
+        assert!(solver.chain().is_jacobi());
+        assert!(!out.converged);
+        assert_eq!(out.iterations, solver.front.jacobi_budget());
+        let rescued = solver.try_solve(&b).expect("the direct rung finishes it");
+        assert!(rescued.converged, "{:?}", rescued.recovery);
+    }
+
+    #[test]
     fn escalation_through_gremban_reduction() {
         // The escalating barbell's Laplacian plus 1e-3 on the diagonal: an
         // SDD matrix whose reduced (Gremban) system escalates too, so the
@@ -959,7 +981,7 @@ mod tests {
         }
         let a = CsrMatrix::from_triplets(n, n, &trips);
         let solver = SddSolver::new_sdd(&a, SddSolverOptions::default());
-        let budget = solver.jacobi.jacobi_budget();
+        let budget = solver.front.jacobi_budget();
         let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
         let out = solver.try_solve(&b).expect("escalation converges");
         assert!(out.iterations > budget, "the column did not escalate");

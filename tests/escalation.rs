@@ -1,6 +1,6 @@
 //! The Jacobi-first front door's escalation path (DESIGN.md §2.9): a
-//! column whose Jacobi-PCG phase uses up its budget is finished on the
-//! full chain, converges by a residual this suite recomputes on the input
+//! column whose Jacobi-PCG phase uses up its budget is solved again on
+//! the full chain, converges by a residual this suite recomputes on the input
 //! graph, and keeps the batched ≡ looped and pool-width contracts.
 //!
 //! CI reruns this suite under `PARSDD_PRECISION=f32`, so the f32 chain is
@@ -13,7 +13,7 @@ use parsdd_linalg::laplacian::LaplacianOp;
 use parsdd_linalg::operator::LinearOperator;
 use parsdd_linalg::vector::{norm2, project_out_constant};
 use parsdd_solver::baseline::solve_jacobi_pcg;
-use parsdd_solver::chain::{build_jacobi_chain, ChainOptions};
+use parsdd_solver::chain::{build_front_chain, ChainOptions};
 use parsdd_solver::{SddSolver, SddSolverOptions, SolveOutcome};
 
 const TOLERANCE: f64 = 1e-8;
@@ -24,9 +24,9 @@ fn weighted_ladder() -> Graph {
     generators::with_power_law_weights(&generators::grid2d(500, 2, |_, _| 1.0), 4, 1)
 }
 
-/// Iterations of one Jacobi-PCG round of the front door on `g`.
+/// Iterations of the front door's Jacobi-PCG round on `g`.
 fn jacobi_budget(g: &Graph) -> usize {
-    build_jacobi_chain(g, &ChainOptions::default()).jacobi_budget()
+    build_front_chain(g, &ChainOptions::default()).jacobi_budget()
 }
 
 /// `‖b − L x‖ / ‖b‖` on the input graph itself, not through the solver.
