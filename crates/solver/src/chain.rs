@@ -1340,13 +1340,13 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
 /// When [`build_chain`]'s recursion would not run on the input (at most
 /// its bottom target of vertices, or no more edges than vertices), this
 /// is that chain, bit for bit: one direct factor solve, or the
-/// zero-level Jacobi chain above `dense_bottom_limit`. Otherwise it is the zero-level Jacobi chain — the
-/// simplified input in the configured [`LevelOrdering`]'s index space,
-/// solved by one top-level Jacobi-PCG with residual replacement — built
-/// without the recursion: no subgraph, sampling, elimination or
-/// calibration, so it costs one simplify, one ordering pass and one
-/// component labelling. The options are [`ChainOptions::sanitized`]
-/// first.
+/// zero-level Jacobi chain above `dense_bottom_limit`. Otherwise it is
+/// the zero-level Jacobi chain — the simplified input in the configured
+/// [`LevelOrdering`]'s index space, solved by one top-level Jacobi-PCG
+/// with residual replacement — built without the recursion: no
+/// subgraph, sampling, elimination or calibration, so it costs one
+/// simplify, one ordering pass and one component labelling. The options
+/// are [`ChainOptions::sanitized`] first.
 pub fn build_front_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     let options = options.sanitized();
     let (current, top_perm) = permuted_input(g, options.ordering);
